@@ -96,6 +96,9 @@ BENCHMARK(BM_E5_NativeBackend)->ArgName("scale")->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 void XQueryBackendWorkload(benchmark::State& state, size_t cache_capacity) {
   Model model = MakeModel(&SharedMetamodel(), static_cast<int>(state.range(0)));
   lll::awbql::XQueryBackend backend(&model, cache_capacity);
+  // Engine counters (xq.eval.*, e.g. index_probes) ride along in
+  // BENCH_e5.metrics.json.
+  backend.set_metrics(&lll::GlobalMetrics());
   size_t results = 0;
   for (auto _ : state) {
     results = 0;

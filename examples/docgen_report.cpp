@@ -195,6 +195,8 @@ int main(int argc, char** argv) {
   std::printf("%-28s %12s %12zu\n", "  full (whole-document)", "-",
               xquery->stats.nodeset_cache_invalidations -
                   xquery->stats.nodeset_cache_partial_invalidations);
+  std::printf("%-28s %12s %12zu\n", "attribute-value probes", "-",
+              xquery->stats.index_probes);
 
   if (explain) {
     auto explained = lll::docgen::ExplainXQueryPhases();

@@ -119,6 +119,9 @@ struct DocGenStats {
   // interior anchor failed, not the whole tree): the fine-grained
   // invalidation win an interactive edit-regenerate loop banks on.
   size_t nodeset_cache_partial_invalidations = 0;
+  // XQuery engine only: `[@a = E]` predicates answered by an attribute-value
+  // probe of an interned set instead of a scan, across all phases.
+  size_t index_probes = 0;
   // XQuery engine only: wall time per phase (microseconds), phases in run
   // order. Empty for the native engine (it has no phases).
   std::vector<uint64_t> phase_us;

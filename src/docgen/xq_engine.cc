@@ -142,6 +142,7 @@ Result<DocGenResult> RunPhases(const xml::Node* template_root,
     stats.nodeset_cache_invalidations += s.nodeset_cache_invalidations;
     stats.nodeset_cache_partial_invalidations +=
         s.nodeset_cache_partial_invalidations;
+    stats.index_probes += s.index_probes;
   };
   accumulate_eval_stats(r1.stats);
 

@@ -125,6 +125,7 @@ struct PlanPrinter {
                    : " [interned@v" +
                          std::to_string(context_doc->edit_epoch()) + "]";
         }
+        if (step.statically_probeable) s += " [probe]";
         Line(depth + 1, s);
         for (const auto& pred : step.predicates) {
           Line(depth + 2, "predicate:");

@@ -111,6 +111,7 @@ void EncodeExpr(const Expr& e, ByteWriter* w) {
     w->U8(s.statically_ordered ? 1 : 0);
     w->U8(s.statically_streamable ? 1 : 0);
     w->U8(s.statically_internable ? 1 : 0);
+    w->U8(s.statically_probeable ? 1 : 0);
     w->U32(static_cast<uint32_t>(s.predicates.size()));
     for (const ExprPtr& p : s.predicates) EncodeOptExpr(p, w);
   }
@@ -188,6 +189,8 @@ Result<ExprPtr> DecodeExpr(ByteReader* r, size_t depth) {
                          DecodeBool(r, "statically_streamable"));
     LLL_ASSIGN_OR_RETURN(s.statically_internable,
                          DecodeBool(r, "statically_internable"));
+    LLL_ASSIGN_OR_RETURN(s.statically_probeable,
+                         DecodeBool(r, "statically_probeable"));
     LLL_ASSIGN_OR_RETURN(uint32_t npreds, r->U32());
     LLL_RETURN_IF_ERROR(CheckCount(npreds, *r, "predicate"));
     s.predicates.reserve(npreds);

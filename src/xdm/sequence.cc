@@ -23,6 +23,7 @@ bool Sequence::SortDocumentOrderAndDedup(size_t* compare_count) {
     ordered_deduped_ = true;
     return false;
   }
+  source_.reset();
   std::stable_sort(items_.begin(), items_.end(),
                    [compare_count](const Item& a, const Item& b) {
                      if (compare_count != nullptr) ++*compare_count;

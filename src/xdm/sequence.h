@@ -1,11 +1,19 @@
 #ifndef LLL_XDM_SEQUENCE_H_
 #define LLL_XDM_SEQUENCE_H_
 
+#include <memory>
 #include <vector>
 
 #include "xdm/item.h"
 
 namespace lll::xdm {
+
+// A shared, immutable object a Sequence's items were copied from verbatim
+// (the evaluator's interned node sets; see Sequence::source()).
+class SequenceSource {
+ public:
+  virtual ~SequenceSource() = default;
+};
 
 // The XDM sequence. Sequences are FLAT by construction: a Sequence holds
 // Items and an Item can never be a Sequence, so (1,(2,3),()) is physically
@@ -32,6 +40,7 @@ class Sequence {
   void Append(Item item) {
     items_.push_back(std::move(item));
     ordered_deduped_ = false;
+    source_.reset();
   }
   // Concatenation -- the only way to combine sequences, and it flattens.
   // Appending to an empty sequence preserves the other's order invariant;
@@ -39,6 +48,7 @@ class Sequence {
   void AppendSequence(const Sequence& other) {
     if (other.items_.empty()) return;
     ordered_deduped_ = items_.empty() && other.ordered_deduped_;
+    source_.reset();
     items_.insert(items_.end(), other.items_.begin(), other.items_.end());
   }
   // Move-aware overload for the path/FLWOR hot loops: steals the other
@@ -49,12 +59,14 @@ class Sequence {
       *this = std::move(other);
     } else {
       ordered_deduped_ = false;
+      source_.reset();
       items_.insert(items_.end(),
                     std::make_move_iterator(other.items_.begin()),
                     std::make_move_iterator(other.items_.end()));
     }
     other.items_.clear();
     other.ordered_deduped_ = false;
+    other.source_.reset();
   }
 
   // True if every item is a node.
@@ -77,6 +89,19 @@ class Sequence {
   // `compare_count` is non-null it is incremented once per comparator call.
   bool SortDocumentOrderAndDedup(size_t* compare_count = nullptr);
 
+  // Provenance: the shared immutable object whose items this sequence holds
+  // verbatim, in the same order -- set by the evaluator on a copy of an
+  // interned node set, so `$v[@a = E]` over a variable bound to one can
+  // probe that set's attribute-value index instead of scanning. Copies and
+  // moves carry it; every mutation that could change the contents drops it.
+  // Null (the default) for every other sequence, which pays nothing else.
+  const std::shared_ptr<const SequenceSource>& source() const {
+    return source_;
+  }
+  void set_source(std::shared_ptr<const SequenceSource> source) {
+    source_ = std::move(source);
+  }
+
   // fn:data(): atomizes every item.
   Sequence Atomized() const;
 
@@ -87,6 +112,7 @@ class Sequence {
  private:
   std::vector<Item> items_;
   bool ordered_deduped_ = false;
+  std::shared_ptr<const SequenceSource> source_;
 };
 
 // The effective boolean value (XPath 2.0 rules): empty -> false; first item a

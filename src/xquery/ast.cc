@@ -280,6 +280,7 @@ ExprPtr CloneExpr(const Expr& e) {
     sc.statically_ordered = s.statically_ordered;
     sc.statically_streamable = s.statically_streamable;
     sc.statically_internable = s.statically_internable;
+    sc.statically_probeable = s.statically_probeable;
     for (const ExprPtr& p : s.predicates) sc.predicates.push_back(CloneExpr(*p));
     out->steps.push_back(std::move(sc));
   }

@@ -129,6 +129,17 @@ struct PathStep {
   // chain of a document-rooted path, the shape the node-set interning cache
   // memoizes. EXPLAIN renders it as [interned]. Advisory, like the above.
   bool statically_internable = false;
+  // Set by the optimizer: this step's FIRST predicate has the probe shape
+  // `@a = E` (or `E = @a`) with E independent of the focus (optimizer.h's
+  // ProbePredicate), and the step hangs off an interned node set -- an
+  // internable prefix or, for a filter step, possibly a variable bound to
+  // one. The evaluator then answers the predicate with a hash probe of the
+  // interned set's attribute-value index (DESIGN.md section 14). EXPLAIN
+  // renders it as [probe]. Unlike the advisory flags above, the evaluator
+  // trusts this one: it is a static property of the predicate, and the
+  // dynamic conditions (cache attached, set actually interned, E's value
+  // all string-typed) are checked per call.
+  bool statically_probeable = false;
 };
 
 enum class BinOp {

@@ -90,6 +90,8 @@ Result<QueryResult> Execute(const CompiledQuery& query,
         .Increment(stats.nodeset_cache_invalidations);
     options.metrics->counter("xq.eval.nodeset_cache_partial_invalidations")
         .Increment(stats.nodeset_cache_partial_invalidations);
+    options.metrics->counter("xq.eval.index_probes")
+        .Increment(stats.index_probes);
     // Workload-facing alias: the incremental-regeneration dashboards watch
     // the partial/full invalidation split under the xq.nodeset prefix.
     options.metrics->counter("xq.nodeset.partial_invalidations")

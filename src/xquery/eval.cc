@@ -138,6 +138,7 @@ xml::Document* SingleDocumentOf(const Sequence& seq) {
 DynamicContext::DynamicContext() : arena_(std::make_unique<xml::Document>()) {}
 
 void DynamicContext::BindExternal(const std::string& name, Sequence value) {
+  value.set_source(nullptr);  // see Evaluator::Run
   env_.emplace_back(name, std::move(value));
 }
 
@@ -202,7 +203,11 @@ Result<Sequence> Evaluator::Run() {
     LLL_ASSIGN_OR_RETURN(Sequence value, Eval(*var.expr));
     EnvBind(var.name, std::move(value));
   }
-  return Eval(*module_.body);
+  LLL_ASSIGN_OR_RETURN(Sequence result, Eval(*module_.body));
+  // A link to an interned set is only trusted within the evaluation that
+  // made it, while the documents cannot change underneath it.
+  result.set_source(nullptr);
+  return result;
 }
 
 void Evaluator::Trace(std::string line) {
@@ -961,6 +966,25 @@ Result<Sequence> Evaluator::EvalPathImpl(const Expr& e, size_t limit) {
   Sequence current;
   if (e.has_base) {
     const Expr& base = *e.children[0];
+    // `$v[@a = E]` over a variable bound to a copy of an interned node set:
+    // probe that set's postings -- without copying the variable's value.
+    if (base.kind == ExprKind::kVarRef && !e.steps.empty() &&
+        e.steps[0].statically_probeable) {
+      const Sequence* bound = EnvLookup(base.name);
+      const auto* entry =
+          bound == nullptr
+              ? nullptr
+              : dynamic_cast<const CachedNodeSet*>(bound->source().get());
+      if (entry != nullptr) {
+        LLL_ASSIGN_OR_RETURN(
+            std::optional<Sequence> probed,
+            ProbeInterned(e.steps[0], *entry, /*single_context=*/true));
+        if (probed.has_value()) {
+          return EvalStepsRange(e, 1, e.steps.size(), std::move(*probed),
+                                limit);
+        }
+      }
+    }
     // (BASE)[N] push-down: when the first step is a filter whose single
     // predicate is a positive integer literal, only the first N items of
     // BASE can matter -- stream BASE with that cap. Sound only because the
@@ -993,18 +1017,68 @@ Result<Sequence> Evaluator::EvalPathImpl(const Expr& e, size_t limit) {
     current = Sequence(f.item);
   }
   size_t first = 0;
-  if (limit == kNoLimit) {
-    LLL_ASSIGN_OR_RETURN(first, InternPrefix(e, &current));
+  if (!e.steps.empty() && !e.steps[0].is_filter) {
+    LLL_ASSIGN_OR_RETURN(first, InternPrefix(e, &current, limit));
   }
   return EvalStepsRange(e, first, e.steps.size(), std::move(current), limit);
 }
 
-Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
+namespace {
+
+// Appends `step`'s axis and node test to an intern fingerprint.
+void AppendStepFingerprint(const PathStep& step, std::string* fingerprint) {
+  *fingerprint += AxisName(step.axis);
+  *fingerprint += "::";
+  switch (step.test.kind) {
+    case NodeTestKind::kName:
+      *fingerprint += step.test.name;
+      break;
+    case NodeTestKind::kAnyName:
+      *fingerprint += "*";
+      break;
+    case NodeTestKind::kText:
+      *fingerprint += "text()";
+      break;
+    case NodeTestKind::kComment:
+      *fingerprint += "comment()";
+      break;
+    case NodeTestKind::kPi:
+      *fingerprint += "processing-instruction()";
+      break;
+    case NodeTestKind::kAnyNode:
+      *fingerprint += "node()";
+      break;
+  }
+}
+
+bool IsDocCall(const Expr& e) {
+  return e.kind == ExprKind::kFunctionCall && e.children.size() == 1 &&
+         (e.name == "doc" || e.name == "fn:doc");
+}
+
+}  // namespace
+
+Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current,
+                                       size_t limit) {
   NodeSetCache* cache = options_.nodeset_cache;
   if (cache == nullptr || e.steps.empty()) return 0;
   if (current->size() != 1 || !current->at(0).is_node()) return 0;
+  // Under a limit the path streams and may stop early; only a probe beats
+  // that, so a chain without one is left alone.
+  if (limit != kNoLimit &&
+      std::none_of(e.steps.begin(), e.steps.end(),
+                   [](const PathStep& s) { return s.statically_probeable; })) {
+    return 0;
+  }
   xml::Node* base = current->at(0).node();
-  if (!base->is_document() || base->document() == nullptr) return 0;
+  if (base->document() == nullptr) return 0;
+  // Bases are document nodes, or the node a fn:doc name is bound to (docgen
+  // phases 2-5 bind doc("doc") to the previous phase's root element). Any
+  // other node base -- every `$n/child::node()` of a recursive copy -- would
+  // pay a lookup per call for an entry it rarely reuses.
+  if (!base->is_document() && !(e.has_base && IsDocCall(*e.children[0]))) {
+    return 0;
+  }
   // Never intern sets rooted in this execution's construction arena (e.g.
   // `document { ... }` results): the arena dies with the query, while the
   // cache (session- or backend-scoped) lives on, and the next execution's
@@ -1023,28 +1097,7 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   for (const PathStep& step : e.steps) {
     if (step.is_filter) break;
     if (!step.predicates.empty() && !StepPredicatesFoldable(step)) break;
-    fingerprint += AxisName(step.axis);
-    fingerprint += "::";
-    switch (step.test.kind) {
-      case NodeTestKind::kName:
-        fingerprint += step.test.name;
-        break;
-      case NodeTestKind::kAnyName:
-        fingerprint += "*";
-        break;
-      case NodeTestKind::kText:
-        fingerprint += "text()";
-        break;
-      case NodeTestKind::kComment:
-        fingerprint += "comment()";
-        break;
-      case NodeTestKind::kPi:
-        fingerprint += "processing-instruction()";
-        break;
-      case NodeTestKind::kAnyNode:
-        fingerprint += "node()";
-        break;
-    }
+    AppendStepFingerprint(step, &fingerprint);
     for (const ExprPtr& p : step.predicates) {
       fingerprint += '[';
       fingerprint += ExprToString(*p);
@@ -1053,16 +1106,55 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
     fingerprint += "/";
     ++prefix;
   }
-  if (prefix == 0) return 0;
 
+  // The step that ends the chain may hang off it as a probe: its axis and
+  // name test, without predicates, intern with the prefix, and its first
+  // predicate `@a = E` becomes a lookup in that set's postings.
+  if (prefix < e.steps.size() && e.steps[prefix].statically_probeable) {
+    const PathStep& step = e.steps[prefix];
+    PathStep bare;
+    bare.axis = step.axis;
+    bare.test = step.test;
+    std::string probe_fingerprint = fingerprint;
+    AppendStepFingerprint(step, &probe_fingerprint);
+    probe_fingerprint += "/";
+    LLL_ASSIGN_OR_RETURN(
+        std::shared_ptr<const CachedNodeSet> entry,
+        InternedSet(e, prefix, &bare, probe_fingerprint, base));
+    // Positions count per context node; the probe answers over the union
+    // of every context's candidates, exact when there is one context.
+    Result<std::optional<Sequence>> probed =
+        ProbeInterned(step, *entry, /*single_context=*/prefix == 0);
+    if (!probed.ok()) {
+      Status st = probed.status();
+      return st.AddContext("in path expression" + LocationSuffix(e));
+    }
+    if (probed->has_value()) {
+      *current = std::move(**probed);
+      return prefix + 1;
+    }
+  }
+  if (prefix == 0 || limit != kNoLimit) return 0;
+  LLL_ASSIGN_OR_RETURN(std::shared_ptr<const CachedNodeSet> entry,
+                       InternedSet(e, prefix, nullptr, fingerprint, base));
+  // A copy of a normalized sequence (the bit carries over), constructed
+  // rather than assigned: the assignment's per-item copy does not inline.
+  *current = Sequence(entry->nodes);
+  current->set_source(std::move(entry));
+  return prefix;
+}
+
+Result<std::shared_ptr<const CachedNodeSet>> Evaluator::InternedSet(
+    const Expr& e, size_t prefix, const PathStep* extra,
+    const std::string& fingerprint, xml::Node* base) {
+  NodeSetCache* cache = options_.nodeset_cache;
   xml::Document* doc = base->document();
   std::string key = NodeSetCache::MakeKey(base, fingerprint);
   NodeSetCache::Outcome outcome = NodeSetCache::Outcome::kMiss;
   if (std::shared_ptr<const CachedNodeSet> hit =
           cache->Get(doc, key, &outcome)) {
     ++stats_.nodeset_cache_hits;
-    *current = hit->nodes;  // copy of a normalized sequence; bit carries over
-    return prefix;
+    return hit;
   }
   if (outcome == NodeSetCache::Outcome::kStale ||
       outcome == NodeSetCache::Outcome::kStalePartial) {
@@ -1082,7 +1174,10 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
   std::vector<CachedNodeSet::Guard> guards;
   bool subtree_scoped = false;
   if (options_.subtree_guards) {
-    ComputeInternGuards(e, prefix, base, &guards, &subtree_scoped);
+    std::vector<const PathStep*> chain;
+    for (size_t i = 0; i < prefix; ++i) chain.push_back(&e.steps[i]);
+    if (extra != nullptr) chain.push_back(extra);
+    ComputeInternGuards(chain, base, &guards, &subtree_scoped);
   } else {
     // Subtree scoping forced off: one kSubtree guard at the document node,
     // so any edit anywhere evicts the entry, and subtree_scoped stays false
@@ -1090,15 +1185,105 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current) {
     guards.push_back(
         NodeSetCache::GuardFor(base, CachedNodeSet::GuardKind::kSubtree));
   }
-  LLL_ASSIGN_OR_RETURN(
-      Sequence computed,
-      EvalStepsRange(e, 0, prefix, std::move(*current), kNoLimit));
-  if (computed.empty() || SingleDocumentOf(computed) == doc) {
-    cache->Put(key, doc->doc_id(), std::move(guards), subtree_scoped,
-               computed);
+  LLL_ASSIGN_OR_RETURN(Sequence computed,
+                       EvalStepsRange(e, 0, prefix,
+                                      Sequence(Item::NodeRef(base)), kNoLimit));
+  if (extra != nullptr && !computed.empty()) {
+    // Child and descendant steps from one context come out in order.
+    const bool one_context = computed.size() == 1;
+    LLL_ASSIGN_OR_RETURN(computed, EvalStep(*extra, computed));
+    SortDedup(&computed, one_context);
   }
-  *current = std::move(computed);
-  return prefix;
+  // The entry keeps an exact-size copy: `computed` grew by doubling, and
+  // the entry lives as long as the cache does.
+  std::shared_ptr<const CachedNodeSet> entry = NodeSetCache::MakeEntry(
+      doc->doc_id(), std::move(guards), subtree_scoped, Sequence(computed),
+      base->index());
+  if (entry->nodes.empty() || SingleDocumentOf(entry->nodes) == doc) {
+    cache->Put(key, entry);
+  }
+  return entry;
+}
+
+Result<std::optional<Sequence>> Evaluator::ProbeInterned(
+    const PathStep& step, const CachedNodeSet& entry, bool single_context) {
+  // The flag may come from a persisted plan: re-check the shape.
+  const std::string* attr_name = nullptr;
+  const Expr* value_expr = nullptr;
+  if (step.predicates.empty() || step.predicates[0] == nullptr ||
+      !ProbeOperands(*step.predicates[0], &attr_name, &value_expr)) {
+    return std::optional<Sequence>();
+  }
+  // An empty set never evaluates E -- exactly like a scan with no
+  // candidates, so a failing E fails (or not) the same way.
+  if (entry.nodes.empty()) return std::optional<Sequence>(Sequence());
+  LLL_ASSIGN_OR_RETURN(Sequence value, Eval(*value_expr));
+  Sequence keys = value.Atomized();
+  // Only string-typed keys compare as plain string equality against the
+  // untypedAtomic attribute values; numeric, boolean, or mixed keys keep the
+  // scan's casting rules (and its FORG0001-style errors).
+  for (const Item& key : keys.items()) {
+    if (!key.is_stringlike()) return std::optional<Sequence>();
+  }
+  const xml::Document* doc = entry.nodes.at(0).node()->document();
+  std::shared_ptr<const CachedNodeSet::AttributePostings> postings =
+      entry.Postings(doc, *attr_name);
+  // The union of the keys' postings, ascending (= document order).
+  std::vector<const std::vector<uint32_t>*> lists;
+  for (const Item& key : keys.items()) {
+    auto it = postings->positions.find(key.string_value());
+    if (it != postings->positions.end()) lists.push_back(&it->second);
+  }
+  std::vector<uint32_t> merged;
+  if (lists.size() > 1) {
+    for (const std::vector<uint32_t>* list : lists) {
+      merged.insert(merged.end(), list->begin(), list->end());
+    }
+    std::sort(merged.begin(), merged.end());
+    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+  }
+  const std::vector<uint32_t>& positions =
+      lists.size() == 1 ? *lists[0] : merged;
+  std::vector<Item> items;
+  items.reserve(positions.size());
+  for (uint32_t pos : positions) items.push_back(entry.nodes.at(pos));
+  Sequence hits(std::move(items));
+  if (entry.nodes.ordered_deduped()) hits.MarkOrderedDeduped();
+  if (step.predicates.size() == 1 || hits.empty()) {
+    ++stats_.index_probes;
+    return std::optional<Sequence>(std::move(hits));
+  }
+  // The remaining predicates see the hits as ONE context. Exact when the
+  // step has a single context: a filter step or a lone base (the caller
+  // says so), one hit, or child-axis hits that all share a parent (the
+  // other contexts kept nothing). Otherwise only predicates that never test
+  // positions may run over the union; anything else falls back to the
+  // per-context scan.
+  bool one_context = single_context || hits.size() == 1;
+  if (!one_context && step.axis == Axis::kChild) {
+    const xml::Node* parent = hits.at(0).node()->parent();
+    one_context = true;
+    for (const Item& hit : hits.items()) {
+      if (hit.node()->parent() != parent) {
+        one_context = false;
+        break;
+      }
+    }
+  }
+  if (!one_context) {
+    auto is_user = [this](const std::string& name, size_t arity) {
+      return functions_.count({name, arity}) != 0;
+    };
+    for (size_t i = 1; i < step.predicates.size(); ++i) {
+      if (!NonPositionalPredicate(*step.predicates[i], is_user)) {
+        return std::optional<Sequence>();
+      }
+    }
+  }
+  ++stats_.index_probes;
+  LLL_ASSIGN_OR_RETURN(Sequence kept,
+                       ApplyPredicates(step.predicates, std::move(hits), 1));
+  return std::optional<Sequence>(std::move(kept));
 }
 
 bool Evaluator::StepPredicatesFoldable(const PathStep& step) const {
@@ -1123,10 +1308,11 @@ bool Evaluator::StepPredicatesAttributeOnly(const PathStep& step) const {
   return true;
 }
 
-void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
+void Evaluator::ComputeInternGuards(const std::vector<const PathStep*>& steps,
                                     xml::Node* base,
                                     std::vector<CachedNodeSet::Guard>* guards,
                                     bool* subtree_scoped) {
+  const size_t prefix = steps.size();
   using Guard = CachedNodeSet::Guard;
   using GuardKind = CachedNodeSet::GuardKind;
   constexpr size_t kMaxGuards = 16;
@@ -1140,7 +1326,7 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
   // (This is also today's whole-document behavior, now expressed as the
   // coarsest point of the guard lattice.)
   for (size_t i = 0; i < prefix; ++i) {
-    switch (e.steps[i].axis) {
+    switch (steps[i]->axis) {
       case Axis::kChild:
       case Axis::kAttribute:
       case Axis::kDescendant:
@@ -1168,7 +1354,7 @@ void Evaluator::ComputeInternGuards(const Expr& e, size_t prefix,
   // resolved path invalidates the chain through its parent's kLocal guard.
   xml::Node* ctx = base;
   for (size_t i = 0; i < prefix; ++i) {
-    const PathStep& step = e.steps[i];
+    const PathStep& step = *steps[i];
     const bool last = i + 1 == prefix;
     if (guards->size() + 2 > kMaxGuards) {
       push(ctx, GuardKind::kSubtree);
@@ -1456,8 +1642,10 @@ Result<Sequence> Evaluator::EvalStep(const PathStep& step,
 }
 
 Result<Sequence> Evaluator::ApplyPredicates(const std::vector<ExprPtr>& preds,
-                                            Sequence candidates) {
-  for (const ExprPtr& pred : preds) {
+                                            Sequence candidates,
+                                            size_t first_pred) {
+  for (size_t p = first_pred; p < preds.size(); ++p) {
+    const ExprPtr& pred = preds[p];
     Sequence kept;
     Focus saved = focus_;
     size_t size = candidates.size();

@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -136,6 +137,9 @@ struct EvalStats {
   size_t nodeset_cache_misses = 0;
   size_t nodeset_cache_invalidations = 0;
   size_t nodeset_cache_partial_invalidations = 0;
+  // Step predicates `@a = E` answered by a hash probe of an interned node
+  // set's attribute-value postings instead of a per-candidate scan.
+  size_t index_probes = 0;
 };
 
 // A builtin function: receives evaluated arguments.
@@ -300,10 +304,27 @@ class Evaluator {
   }
   // Consults / fills the node-set interning cache for the leading internable
   // step chain (predicate-free steps, plus steps whose predicates fold into
-  // the fingerprint) of a document-rooted path. On success returns the
-  // number of steps consumed and replaces *current with the (shared) prefix
-  // result; returns 0 when interning does not apply.
-  Result<size_t> InternPrefix(const Expr& e, xdm::Sequence* current);
+  // the fingerprint) of a path off a document node or a fn:doc-bound node,
+  // and probes the step that ends the chain when it is probeable. On success
+  // returns the number of steps consumed and replaces *current with their
+  // result (a linked copy of the entry, or the probe's hits); returns 0 when
+  // interning does not apply. Under a `limit` only a probe applies.
+  Result<size_t> InternPrefix(const Expr& e, xdm::Sequence* current,
+                              size_t limit);
+  // The interned set of steps [0, prefix) of `e` -- followed by `extra`, a
+  // predicate-free step, when non-null -- hanging off `base`: a cache hit,
+  // or computed, guarded, and stored.
+  Result<std::shared_ptr<const CachedNodeSet>> InternedSet(
+      const Expr& e, size_t prefix, const PathStep* extra,
+      const std::string& fingerprint, xml::Node* base);
+  // Answers `step`'s first predicate `@a = E` (optimizer.h's ProbeOperands)
+  // over `entry`, the step's interned candidates, by a postings probe, then
+  // applies the remaining predicates to the hits. `single_context` says the
+  // candidates all came from one context node. Returns nullopt -- after at
+  // most one evaluation of E -- when the probe cannot answer exactly: E not
+  // all string-typed, or positional predicates over several contexts.
+  Result<std::optional<xdm::Sequence>> ProbeInterned(
+      const PathStep& step, const CachedNodeSet& entry, bool single_context);
   // True if every predicate of `step` is intern-foldable (optimizer.h's
   // InternFoldablePredicate, resolved against this evaluator's user-function
   // table); the AttributeOnly variant additionally requires the attribute-
@@ -311,11 +332,12 @@ class Evaluator {
   bool StepPredicatesFoldable(const PathStep& step) const;
   bool StepPredicatesAttributeOnly(const PathStep& step) const;
   // Builds the subtree version guard set for an intern entry: descends from
-  // `base` through prefix steps that resolve to singleton elements,
+  // `base` through the chain's steps that resolve to singleton elements,
   // recording the narrowest overlay guards that dominate the chain, and
   // falls back to a whole-subtree guard at the first step it cannot scope
   // (DESIGN.md section 14). Best-effort: never fails, only widens.
-  void ComputeInternGuards(const Expr& e, size_t prefix, xml::Node* base,
+  void ComputeInternGuards(const std::vector<const PathStep*>& steps,
+                           xml::Node* base,
                            std::vector<CachedNodeSet::Guard>* guards,
                            bool* subtree_scoped);
   Result<xdm::Sequence> EvalStep(const PathStep& step,
@@ -324,8 +346,10 @@ class Evaluator {
   // (and counting the skip) when `provably_ordered` or the sequence already
   // carries the ordered_deduped bit or is trivially small.
   void SortDedup(xdm::Sequence* seq, bool provably_ordered);
+  // Applies preds[first_pred..] in turn, each over the previous survivors.
   Result<xdm::Sequence> ApplyPredicates(const std::vector<ExprPtr>& preds,
-                                        xdm::Sequence candidates);
+                                        xdm::Sequence candidates,
+                                        size_t first_pred = 0);
   Result<xdm::Sequence> EvalBinary(const Expr& e);
   Result<xdm::Sequence> EvalFlwor(const Expr& e);
   Status EvalFlworClauses(const Expr& e, size_t clause_index,

@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "xml/name_table.h"
+
 namespace lll::xq {
 
 namespace {
@@ -21,7 +23,71 @@ uint64_t CurrentVersion(const xml::Document* doc,
   return 0;
 }
 
+bool GuardsHold(const xml::Document* doc,
+                const std::vector<CachedNodeSet::Guard>& guards) {
+  for (const CachedNodeSet::Guard& g : guards) {
+    if (CurrentVersion(doc, g) != g.version) return false;
+  }
+  return true;
+}
+
+// Same cap as the entry guards (Evaluator::ComputeInternGuards).
+constexpr size_t kMaxPostingsGuards = 16;
+
+std::shared_ptr<const CachedNodeSet::AttributePostings> BuildPostings(
+    const xml::Document* doc, uint32_t base, const xdm::Sequence& nodes,
+    const std::string& name) {
+  using GuardKind = CachedNodeSet::GuardKind;
+  auto postings = std::make_shared<CachedNodeSet::AttributePostings>();
+  postings->name_id = xml::NameTable::Intern(name);
+  // Guards first, read before the values (stamped too old, never too new):
+  // a member's attribute state is a local change of the member, which its
+  // parent's kLocalChildren version sees; a parentless member pins itself.
+  std::vector<CachedNodeSet::Guard>& guards = postings->guards;
+  for (const xdm::Item& item : nodes.items()) {
+    if (!item.is_node()) continue;
+    const xml::Node* n = item.node();
+    const xml::Node* anchor = n->parent() != nullptr ? n->parent() : n;
+    const GuardKind kind = n->parent() != nullptr ? GuardKind::kLocalChildren
+                                                  : GuardKind::kLocal;
+    bool seen = false;
+    for (const CachedNodeSet::Guard& g : guards) {
+      seen = seen || (g.node == anchor->index() && g.kind == kind);
+    }
+    if (seen) continue;
+    if (guards.size() == kMaxPostingsGuards) {
+      guards.assign(1, NodeSetCache::GuardFor(doc->NodeAt(base),
+                                              GuardKind::kSubtree));
+      break;
+    }
+    guards.push_back(NodeSetCache::GuardFor(anchor, kind));
+  }
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const xdm::Item& item = nodes.at(i);
+    if (!item.is_node() || !item.node()->is_element()) continue;
+    const uint32_t position = static_cast<uint32_t>(i);
+    for (const xml::Node* attr : item.node()->attributes()) {
+      if (attr->name_id() != postings->name_id) continue;
+      std::vector<uint32_t>& list = postings->positions[std::string(attr->value())];
+      if (list.empty() || list.back() != position) list.push_back(position);
+    }
+  }
+  return postings;
+}
+
 }  // namespace
+
+std::shared_ptr<const CachedNodeSet::AttributePostings> CachedNodeSet::Postings(
+    const xml::Document* doc, const std::string& name) const {
+  std::lock_guard<std::mutex> lock(postings_mu_);
+  for (std::shared_ptr<const AttributePostings>& p : postings_) {
+    if (xml::NameTable::Get(p->name_id) != name) continue;
+    if (!GuardsHold(doc, p->guards)) p = BuildPostings(doc, base, nodes, name);
+    return p;
+  }
+  postings_.push_back(BuildPostings(doc, base, nodes, name));
+  return postings_.back();
+}
 
 std::string NodeSetCache::MakeKey(const xml::Node* base,
                                   const std::string& fingerprint) {
@@ -73,14 +139,28 @@ std::shared_ptr<const CachedNodeSet> NodeSetCache::Get(
   return entry;
 }
 
-void NodeSetCache::Put(const std::string& key, uint64_t doc_id,
-                       std::vector<CachedNodeSet::Guard> guards,
-                       bool subtree_scoped, xdm::Sequence nodes) {
+std::shared_ptr<CachedNodeSet> NodeSetCache::MakeEntry(
+    uint64_t doc_id, std::vector<CachedNodeSet::Guard> guards,
+    bool subtree_scoped, xdm::Sequence nodes, uint32_t base) {
   auto entry = std::make_shared<CachedNodeSet>();
   entry->doc_id = doc_id;
+  entry->base = base;
   entry->guards = std::move(guards);
   entry->subtree_scoped = subtree_scoped;
   entry->nodes = std::move(nodes);
+  return entry;
+}
+
+void NodeSetCache::Put(const std::string& key, uint64_t doc_id,
+                       std::vector<CachedNodeSet::Guard> guards,
+                       bool subtree_scoped, xdm::Sequence nodes,
+                       uint32_t base) {
+  Put(key, MakeEntry(doc_id, std::move(guards), subtree_scoped,
+                     std::move(nodes), base));
+}
+
+void NodeSetCache::Put(const std::string& key,
+                       std::shared_ptr<const CachedNodeSet> entry) {
   cache_.Put(key, std::move(entry));
 }
 
@@ -150,7 +230,7 @@ size_t NodeSetCache::MigrateClone(const NodeSetCache& source,
     Put(std::to_string(to.doc_id()) + "@" + std::to_string(mapped_base) +
             key.substr(bar),
         to.doc_id(), std::move(guards), entry->subtree_scoped,
-        std::move(nodes));
+        std::move(nodes), mapped_base);
     ++migrated;
   }
   return migrated;

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/lru_cache.h"
@@ -41,7 +43,7 @@ namespace lll::xq {
 // node's doc_id + index, and an entry from a dead document must never
 // validate against a new one -- doc_ids are process-unique and never reused,
 // unlike addresses.
-struct CachedNodeSet {
+struct CachedNodeSet : xdm::SequenceSource {
   enum class GuardKind : uint8_t { kLocal, kLocalChildren, kSubtree };
   struct Guard {
     uint32_t node = 0;  // node index within the owning document's arena
@@ -49,13 +51,43 @@ struct CachedNodeSet {
     uint64_t version = 0;  // overlay version recorded at computation time
   };
 
+  // The attribute-value postings of one attribute name over `nodes`: value
+  // -> ascending positions of the members carrying an attribute of that
+  // name with that value (a member with duplicate attributes is listed
+  // under every value, once per value). It has guards of its own, because
+  // the entry's guards watch only what decides MEMBERSHIP: `awb-model/
+  // relation` is guarded by its parent's child list alone and stays valid
+  // when a member's @source is replaced. So the postings pin the members'
+  // attribute state: kLocalChildren on every distinct parent of the
+  // members (kLocal on a parentless member), or one kSubtree guard on the
+  // entry's base past the 16-guard cap.
+  struct AttributePostings {
+    uint32_t name_id = 0;  // xml::NameTable id of the attribute name
+    std::vector<Guard> guards;
+    std::unordered_map<std::string, std::vector<uint32_t>> positions;
+  };
+
   uint64_t doc_id = 0;
+  // Index of the node the step chain hangs off (the key's base).
+  uint32_t base = 0;
   std::vector<Guard> guards;
   // True if some guard is anchored strictly below the base node, i.e. the
   // entry's validity is scoped to a subtree rather than the whole tree.
   // Distinguishes partial from full invalidations in the stats.
   bool subtree_scoped = false;
   xdm::Sequence nodes;
+
+  // The postings of attribute `name` over `nodes`, built lazily on first
+  // use and rebuilt -- without touching the entry -- when one of its own
+  // guards has failed against `doc`, the live document the entry was
+  // validated against. Once-only per build and safe from any number of
+  // threads sharing this entry.
+  std::shared_ptr<const AttributePostings> Postings(
+      const xml::Document* doc, const std::string& name) const;
+
+ private:
+  mutable std::mutex postings_mu_;
+  mutable std::vector<std::shared_ptr<const AttributePostings>> postings_;
 };
 
 // A thread-safe interning cache for document-rooted node sets, keyed on
@@ -106,10 +138,17 @@ class NodeSetCache {
   // Stores the node set computed from the document identified by `doc_id`,
   // with its guard versions read from the overlay BEFORE computing (so an
   // entry can only ever be stamped too old -- a harmless re-miss -- never
-  // too new). Overwrites stale entries.
+  // too new). Overwrites stale entries. `base` is the index of the node the
+  // chain hangs off (default: the document node).
   void Put(const std::string& key, uint64_t doc_id,
            std::vector<CachedNodeSet::Guard> guards, bool subtree_scoped,
-           xdm::Sequence nodes);
+           xdm::Sequence nodes, uint32_t base = 0);
+  // Stores an entry built by the caller (see MakeEntry).
+  void Put(const std::string& key, std::shared_ptr<const CachedNodeSet> entry);
+
+  static std::shared_ptr<CachedNodeSet> MakeEntry(
+      uint64_t doc_id, std::vector<CachedNodeSet::Guard> guards,
+      bool subtree_scoped, xdm::Sequence nodes, uint32_t base);
 
   // The key for a step chain hanging off `base`: the owning document's
   // process-unique id plus the base node's index (distinct document nodes in
@@ -139,7 +178,10 @@ class NodeSetCache {
   // guards on first lookup (counted partial/full as usual) while untouched
   // chains keep hitting. Entries touching dropped nodes are skipped. This
   // is what lets a warm cache survive the server's copy-on-write publish.
-  // Recency order is preserved. Returns the number of entries migrated.
+  // Attribute postings are dropped, never carried over: the clone's entries
+  // rebuild them lazily against the clone, so no index can outlive the edit
+  // that made it wrong. Recency order is preserved. Returns the number of
+  // entries migrated.
   size_t MigrateClone(const NodeSetCache& source, const xml::Document& from,
                       const xml::Document& to,
                       const std::vector<uint32_t>& node_map);

@@ -676,9 +676,22 @@ struct OrderAnalyzer {
         (!e->has_base && e->rooted) ||
         (e->has_base && e->children[0]->kind == ExprKind::kFunctionCall &&
          (e->children[0]->name == "doc" || e->children[0]->name == "fn:doc"));
-    for (PathStep& step : e->steps) {
+    auto is_user = [this](const std::string& name, size_t arity) {
+      for (const FunctionDecl& fn : module.functions) {
+        if (fn.name == name && fn.params.size() == arity) return true;
+      }
+      return false;
+    };
+    for (size_t i = 0; i < e->steps.size(); ++i) {
+      PathStep& step = e->steps[i];
       for (ExprPtr& p : step.predicates) Analyze(p.get());
       if (step.is_filter) {
+        // `$v[@a = E]`: the variable may hold an interned node set; the
+        // evaluator checks that per call.
+        step.statically_probeable =
+            i == 0 && e->has_base &&
+            e->children[0]->kind == ExprKind::kVarRef &&
+            ProbePredicate(*step.predicates[0], is_user);
         internable = false;
         continue;  // a subset preserves every property
       }
@@ -700,19 +713,22 @@ struct OrderAnalyzer {
       // Predicate-free steps intern outright; steps whose predicates are
       // all intern-foldable (pure functions of the tree, folded into the
       // fingerprint) keep the chain going too.
-      if (!step.predicates.empty()) {
-        auto is_user = [this](const std::string& name, size_t arity) {
-          for (const FunctionDecl& fn : module.functions) {
-            if (fn.name == name && fn.params.size() == arity) return true;
-          }
-          return false;
-        };
+      // The first step that breaks the chain may still hang off it as a
+      // probe: its axis and name test intern with the prefix, its first
+      // predicate `@a = E` becomes a lookup in that set.
+      if (internable && !step.predicates.empty()) {
         for (const ExprPtr& p : step.predicates) {
           if (!InternFoldablePredicate(*p, is_user)) {
             internable = false;
             break;
           }
         }
+        step.statically_probeable =
+            !internable &&
+            (step.axis == Axis::kChild || step.axis == Axis::kDescendant) &&
+            (step.test.kind == NodeTestKind::kName ||
+             step.test.kind == NodeTestKind::kAnyName) &&
+            ProbePredicate(*step.predicates[0], is_user);
       }
       step.statically_internable = internable;
       prop = TransferOrder(prop, step.axis);
@@ -978,7 +994,176 @@ struct FoldScanner {
   }
 };
 
+// The probe eligibility analysis behind ProbePredicate and
+// NonPositionalPredicate.
+struct ProbeScanner {
+  FoldScanner fold;
+
+  bool UserOrUnknown(const Expr& e) const { return fold.UserOrUnknown(e); }
+
+  // No fn:trace/fn:error and no user-defined or unknown call anywhere.
+  bool EffectFree(const Expr& e) const {
+    if (e.kind == ExprKind::kFunctionCall) {
+      const std::string stripped = FoldScanner::Stripped(e);
+      if (stripped == "trace" || stripped == "error" || UserOrUnknown(e)) {
+        return false;
+      }
+    }
+    bool ok = true;
+    ForEachChild(e, [&](const Expr& c) { ok = ok && EffectFree(c); });
+    return ok;
+  }
+
+  bool FocusFree(const Expr& e) const {
+    switch (e.kind) {
+      case ExprKind::kLiteral:
+      case ExprKind::kEmptySequence:
+      case ExprKind::kVarRef:
+        return true;
+      case ExprKind::kPath: {
+        // Only a base expression can give a path a focus-free start; the
+        // steps' predicates run under the path's own focus.
+        if (!e.has_base || !FocusFree(*e.children[0])) return false;
+        for (const PathStep& s : e.steps) {
+          for (const ExprPtr& p : s.predicates) {
+            if (!EffectFree(*p)) return false;
+          }
+        }
+        return true;
+      }
+      case ExprKind::kFunctionCall: {
+        if (UserOrUnknown(e)) return false;
+        const std::string stripped = FoldScanner::Stripped(e);
+        if (stripped == "trace" || stripped == "error" ||
+            stripped == "parse-xml-fragment") {
+          return false;
+        }
+        // Zero-argument builtins read the focus (position, last, string,
+        // name, ...) unless they are constants.
+        if (e.children.empty()) {
+          return stripped == "true" || stripped == "false" ||
+                 stripped == "math:pi";
+        }
+        break;
+      }
+      case ExprKind::kBinary:
+      case ExprKind::kUnary:
+      case ExprKind::kIf:
+      case ExprKind::kSequence:
+      case ExprKind::kCastAs:
+      case ExprKind::kCastableAs:
+      case ExprKind::kInstanceOf:
+      case ExprKind::kFlwor:
+      case ExprKind::kQuantified:
+        break;
+      default:
+        // `.`, constructors (fresh identities per evaluation), try/catch.
+        return false;
+    }
+    bool ok = true;
+    ForEachChild(e, [&](const Expr& c) { ok = ok && FocusFree(c); });
+    return ok;
+  }
+
+  // True if position() or last() is called at e's own focus level: step
+  // predicates get a focus of their own and are not entered.
+  static bool ReadsPosition(const Expr& e) {
+    if (e.kind == ExprKind::kFunctionCall && e.children.empty()) {
+      const std::string stripped = FoldScanner::Stripped(e);
+      if (stripped == "position" || stripped == "last") return true;
+    }
+    bool reads = false;
+    auto visit = [&reads](const Expr& c) { reads = reads || ReadsPosition(c); };
+    if (e.kind == ExprKind::kPath) {
+      for (const ExprPtr& c : e.children) visit(*c);  // the base only
+    } else {
+      ForEachChild(e, visit);
+    }
+    return reads;
+  }
+
+  bool BooleanValued(const Expr& e) const {
+    switch (e.kind) {
+      case ExprKind::kBinary:
+        switch (e.op) {
+          case BinOp::kOr:
+          case BinOp::kAnd:
+          case BinOp::kGenEq:
+          case BinOp::kGenNe:
+          case BinOp::kGenLt:
+          case BinOp::kGenLe:
+          case BinOp::kGenGt:
+          case BinOp::kGenGe:
+          case BinOp::kValEq:
+          case BinOp::kValNe:
+          case BinOp::kValLt:
+          case BinOp::kValLe:
+          case BinOp::kValGt:
+          case BinOp::kValGe:
+          case BinOp::kIs:
+            return true;
+          default:
+            return false;
+        }
+      case ExprKind::kFunctionCall:
+        return !UserOrUnknown(e) &&
+               IsInternBooleanBuiltin(FoldScanner::Stripped(e));
+      case ExprKind::kPath: {
+        // A relative axis path yields nodes, never a number.
+        if (e.has_base || e.rooted || e.steps.empty()) return false;
+        for (const PathStep& s : e.steps) {
+          if (s.is_filter) return false;
+        }
+        return true;
+      }
+      default:
+        return false;
+    }
+  }
+};
+
 }  // namespace
+
+bool ProbeOperands(const Expr& pred, const std::string** attr_name,
+                   const Expr** value) {
+  if (pred.kind != ExprKind::kBinary || pred.op != BinOp::kGenEq ||
+      pred.children.size() != 2 || pred.children[0] == nullptr ||
+      pred.children[1] == nullptr) {
+    return false;
+  }
+  auto bare_attribute = [](const Expr& e) {
+    if (e.kind != ExprKind::kPath || e.has_base || e.rooted ||
+        e.steps.size() != 1) {
+      return false;
+    }
+    const PathStep& s = e.steps[0];
+    return !s.is_filter && s.axis == Axis::kAttribute &&
+           s.test.kind == NodeTestKind::kName && s.predicates.empty();
+  };
+  for (int side = 0; side < 2; ++side) {
+    const Expr& attr = *pred.children[side];
+    if (!bare_attribute(attr)) continue;
+    *attr_name = &attr.steps[0].test.name;
+    *value = pred.children[1 - side].get();
+    return true;
+  }
+  return false;
+}
+
+bool ProbePredicate(const Expr& pred,
+                    const UserFunctionLookup& is_user_function) {
+  const std::string* attr_name = nullptr;
+  const Expr* value = nullptr;
+  if (!ProbeOperands(pred, &attr_name, &value)) return false;
+  ProbeScanner scanner{{is_user_function}};
+  return scanner.FocusFree(*value);
+}
+
+bool NonPositionalPredicate(const Expr& pred,
+                            const UserFunctionLookup& is_user_function) {
+  ProbeScanner scanner{{is_user_function}};
+  return scanner.BooleanValued(pred) && !ProbeScanner::ReadsPosition(pred);
+}
 
 bool InternFoldablePredicate(const Expr& pred,
                              const UserFunctionLookup& is_user_function) {

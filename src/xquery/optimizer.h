@@ -131,6 +131,33 @@ bool InternFoldablePredicate(const Expr& pred,
 bool InternAttributeOnlyPredicate(const Expr& pred,
                                   const UserFunctionLookup& is_user_function);
 
+// --- Attribute-value probes -------------------------------------------------
+//
+// The operands of a probe-shaped predicate: a general `=` comparison with a
+// bare attribute step `@a` (attribute axis, name test, no predicates) on
+// either side. Shape only: sets *attr_name to a and *value to the other
+// operand.
+bool ProbeOperands(const Expr& pred, const std::string** attr_name,
+                   const Expr** value);
+
+// True if `pred` has the probe shape and its value operand E never observes
+// the focus or has an effect, so one evaluation of E serves every candidate
+// (DESIGN.md section 14): no `.`, no relative or rooted path (paths off a
+// base expression are fine, their steps get a focus of their own), no
+// position()/last() or other focus-reading zero-argument builtin, no
+// fn:trace/fn:error, no user-defined or unknown function, no constructor.
+bool ProbePredicate(const Expr& pred,
+                    const UserFunctionLookup& is_user_function);
+
+// True if `pred` can never act as a position test: its top level is
+// provably boolean-valued (a comparison, and/or, a boolean builtin, or a
+// relative node path) and nothing at its focus level calls position() or
+// last(). Such predicates keep the same candidates whether positions count
+// per context node or across the union of all contexts -- the condition
+// under which a probe may answer an axis step over its whole interned set.
+bool NonPositionalPredicate(const Expr& pred,
+                            const UserFunctionLookup& is_user_function);
+
 }  // namespace lll::xq
 
 #endif  // LLL_XQUERY_OPTIMIZER_H_

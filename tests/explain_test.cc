@@ -103,6 +103,35 @@ TEST(ExplainTest, LimitPushdownShowsHintNoteAndSummary) {
   EXPECT_NE(dynamic.find("limits_pushed: 0"), std::string::npos) << dynamic;
 }
 
+TEST(ExplainTest, AttributeValueProbeIsMarked) {
+  // The docgen hot spot: a metamodel lookup keyed by a variable. The step's
+  // axis interns with the chain; its predicate becomes a postings probe.
+  std::string out = ExplainQuery(
+      "declare function local:decl($t) {\n"
+      "  doc(\"metamodel\")//node-type[@name = $t]\n"
+      "};\n"
+      "local:decl(\"User\")");
+  EXPECT_NE(out.find("  step descendant-or-self::node() [ordered] "
+                     "[streamed] [interned]\n"
+                     "  step child::node-type [streamed] [probe]\n"),
+            std::string::npos)
+      << out;
+  // A filter over a variable probes when the variable holds an interned set.
+  std::string filter = ExplainQuery(
+      "let $rels := doc(\"model\")/awb-model/relation\n"
+      "return $rels[@source = \"n1\"]");
+  EXPECT_NE(filter.find("filter [probe]"), std::string::npos) << filter;
+  // A literal key folds into the interned fingerprint instead; a key that
+  // reads the focus cannot be evaluated once for every candidate.
+  std::string literal = ExplainQuery("//node-type[@name = \"User\"]");
+  EXPECT_EQ(literal.find("[probe]"), std::string::npos) << literal;
+  EXPECT_NE(literal.find("step child::node-type [streamed] [interned]"),
+            std::string::npos)
+      << literal;
+  std::string focus = ExplainQuery("//node-type[@name = string(.)]");
+  EXPECT_EQ(focus.find("[probe]"), std::string::npos) << focus;
+}
+
 TEST(ExplainTest, UnoptimizedCompileHasNoRewrites) {
   xq::CompileOptions copts;
   copts.optimize = false;

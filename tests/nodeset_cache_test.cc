@@ -5,9 +5,11 @@
 // interning, and shared-cache concurrency tests (run under ThreadSanitizer
 // via the "concurrency" ctest label).
 
+#include <atomic>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -571,6 +573,277 @@ TEST(NodeSetCacheConcurrency, MutateBetweenParallelPhases) {
       EXPECT_EQ(failures[t], 0) << "phase " << phase << " thread " << t;
     }
   }
+}
+
+// --- Attribute-value probes -------------------------------------------------
+
+// One evaluation's observable outcome: the status text on failure, else the
+// serialized items plus the identity of every node item (serialization
+// alone cannot tell two equal-looking nodes apart).
+std::string Outcome(const Result<xq::QueryResult>& r) {
+  if (!r.ok()) return "error: " + r.status().ToString();
+  std::string out = r->SerializedItems() + " |";
+  for (const xdm::Item& item : r->sequence.items()) {
+    out += item.is_node() ? " " + xq::NodePathOf(item.node()) : " atomic";
+  }
+  return out;
+}
+
+// Adds a duplicate k attribute to every 7th element (the Galax-bug path,
+// indexed under every value): half repeat a digit, half carry a non-numeric
+// value, which numeric keys must fail to cast exactly as the scan does.
+void AddDuplicateAttributes(xml::Document* doc) {
+  std::vector<xml::Node*> elements = testing::AllElements(doc);
+  for (size_t i = 0; i < elements.size(); i += 7) {
+    const std::string value = i % 2 == 0 ? "2" : "x";
+    ASSERT_TRUE(elements[i]
+                    ->ForceAppendDuplicateAttribute(
+                        doc->CreateAttribute("k", value))
+                    .ok());
+  }
+}
+
+// The probe differential: every probe-eligible shape, under every kind of
+// key binding, evaluated with a persistent cache (probing) and without one
+// (the scan oracle) -- byte-identical results, node identities, and error
+// texts. String-typed keys must actually probe; numeric and mixed keys must
+// not (they keep the scan's casting rules). 6 seeds.
+TEST(IndexProbe, DifferentialAgainstCacheOff) {
+  const char* shapes[] = {
+      "//a[@k = $v]",
+      "//*[@k = $v]",
+      "/r/a[@k = $v]",
+      "/r/b[@k = $v][c]",
+      "/r/*[@k = $v][@k]",
+      "//c[$v = @k]",
+      "let $s := /r/a return $s[@k = $v]",
+      "let $s := //b return $s[@k = $v][1]",
+      "let $s := //d return $s[$v = @k][last()]",
+      "//a[@k = $v][1]",
+      "//b[@k = $v][last()]",
+      "/r/*/a[@k = $v][1]",
+      "/r/*/*[@k = $v][last()]",
+      "/r/descendant::a[@k = $v][1]",
+      "/descendant::b[@k = $v][2]",
+      "count(//a[@k = $v])",
+      "exists(//c[@k = $v])",
+      "//a[@k = $v]/b",
+  };
+  struct Binding {
+    const char* name;
+    bool probes;  // string-typed keys: the probe must fire
+  };
+  const Binding bindings[] = {
+      {"string", true},  {"strings", true}, {"attribute", true},
+      {"empty", true},   {"integer", false}, {"double", false},
+      {"mixed", false},
+  };
+  for (uint32_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937 rng(20261017 + seed);
+    auto doc = xml::Parse(testing::RandomPathWorkloadDocument(&rng),
+                          {.strip_insignificant_whitespace = true});
+    ASSERT_TRUE(doc.ok()) << "seed " << seed;
+    AddDuplicateAttributes(doc->get());
+    xml::Node* some_k = nullptr;
+    for (xml::Node* n : testing::AllElements(doc->get())) {
+      if (n->AttributeNode("k") != nullptr) {
+        some_k = n->AttributeNode("k");
+        break;
+      }
+    }
+    ASSERT_NE(some_k, nullptr) << "seed " << seed;
+    xq::NodeSetCache cache(64);
+    for (const Binding& binding : bindings) {
+      xdm::Sequence v;
+      const std::string name = binding.name;
+      if (name == "string") v = xdm::Sequence(xdm::Item::String("1"));
+      if (name == "strings") {
+        v.Append(xdm::Item::String("3"));
+        v.Append(xdm::Item::String("2"));
+        v.Append(xdm::Item::String("3"));
+      }
+      if (name == "attribute") v = xdm::Sequence(xdm::Item::NodeRef(some_k));
+      if (name == "integer") v = xdm::Sequence(xdm::Item::Integer(1));
+      if (name == "double") v = xdm::Sequence(xdm::Item::Double(2.0));
+      if (name == "mixed") {
+        v.Append(xdm::Item::String("1"));
+        v.Append(xdm::Item::Integer(2));
+      }
+      size_t probes = 0;
+      for (const char* shape : shapes) {
+        auto query = xq::Compile(shape);
+        ASSERT_TRUE(query.ok()) << shape;
+        xq::ExecuteOptions opts;
+        opts.context_node = (*doc)->root();
+        opts.variables["v"] = v;
+        auto fresh = xq::Execute(*query, opts);
+        opts.eval.nodeset_cache = &cache;
+        // Twice: the first run interns cold, the second probes warm.
+        for (int round = 0; round < 2; ++round) {
+          auto cached = xq::Execute(*query, opts);
+          ASSERT_EQ(Outcome(cached), Outcome(fresh))
+              << "seed " << seed << " $v " << name << " query " << shape;
+          if (cached.ok()) probes += cached->stats.index_probes;
+          if (cached.ok() && !binding.probes) {
+            EXPECT_EQ(cached->stats.index_probes, 0u)
+                << "seed " << seed << " $v " << name << " query " << shape;
+          }
+        }
+      }
+      if (binding.probes) {
+        EXPECT_GT(probes, 0u) << "seed " << seed << " $v " << name;
+      }
+    }
+  }
+}
+
+TEST(IndexProbe, EligibleShapesProbeAndFallbacksDoNot) {
+  auto doc = xml::Parse(
+      "<r><s><e k=\"1\"/><e k=\"2\"/></s><s><e k=\"1\"/><e k=\"1\"/></s></r>",
+      {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  xq::NodeSetCache cache;
+  auto run = [&](const std::string& text) {
+    auto query = xq::Compile(text);
+    EXPECT_TRUE(query.ok()) << text;
+    xq::ExecuteOptions opts;
+    opts.context_node = (*doc)->root();
+    opts.eval.nodeset_cache = &cache;
+    auto r = xq::Execute(*query, opts);
+    EXPECT_TRUE(r.ok()) << text << ": " << r.status().ToString();
+    return std::make_pair(r->SerializedItems(), r->stats.index_probes);
+  };
+  EXPECT_EQ(run("count(//e[@k = \"1\"])").second, 0u)
+      << "a literal key folds into the intern fingerprint instead";
+  EXPECT_EQ(run("let $v := \"1\" return count(//e[@k = $v])"),
+            std::make_pair(std::string("3"), size_t{1}));
+  // First per parent: two parents hold a match, so [1] keeps one each and
+  // the probe must fall back to the per-context scan.
+  EXPECT_EQ(run("let $v := \"1\" return count(//e[@k = $v][1])"),
+            std::make_pair(std::string("2"), size_t{0}));
+  // ... while a non-positional tail runs over the probe's hits.
+  EXPECT_EQ(run("let $v := \"1\" return count(//e[@k = $v][@k])"),
+            std::make_pair(std::string("3"), size_t{1}));
+  // One parent: [last()] over the union is exact.
+  EXPECT_EQ(run("let $v := \"2\" return count(/r/s/e[@k = $v][last()])"),
+            std::make_pair(std::string("1"), size_t{1}));
+  // A variable bound to a fully interned path probes its entry.
+  EXPECT_EQ(run("let $all := /r/s/e let $v := \"1\" "
+                "return count($all[@k = $v])"),
+            std::make_pair(std::string("3"), size_t{1}));
+  // ... a variable bound to anything else scans.
+  EXPECT_EQ(run("let $all := (/r/s/e, /r/s) let $v := \"1\" "
+                "return count($all[@k = $v])"),
+            std::make_pair(std::string("3"), size_t{0}));
+  // Numeric keys keep the scan's casting rules.
+  EXPECT_EQ(run("let $v := 1 return count(//e[@k = $v])"),
+            std::make_pair(std::string("3"), size_t{0}));
+}
+
+TEST(IndexProbe, ErroringKeyFailsOnlyWhenThereAreCandidates) {
+  auto doc = xml::Parse("<r><e k=\"1\"/></r>",
+                        {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  for (const char* text :
+       {"//e[@k = (1 div 0, $v)[2]]", "//e[@k = exactly-one(($v, $v))]",
+        "//nothing[@k = exactly-one(($v, $v))]"}) {
+    auto query = xq::Compile(text);
+    ASSERT_TRUE(query.ok()) << text;
+    xq::ExecuteOptions opts;
+    opts.context_node = (*doc)->root();
+    opts.variables["v"] = xdm::Sequence(xdm::Item::String("1"));
+    auto fresh = xq::Execute(*query, opts);
+    xq::NodeSetCache cache;
+    opts.eval.nodeset_cache = &cache;
+    EXPECT_EQ(Outcome(xq::Execute(*query, opts)), Outcome(fresh)) << text;
+  }
+}
+
+// The stale-index regression, in place: an edit to a member's @k leaves the
+// entry `/r/e` valid (its guards watch r's child list) but must rebuild the
+// postings, whose own guards watch the members' attributes.
+TEST(IndexProbe, InPlaceAttributeEditRebuildsPostingsNotEntry) {
+  auto doc = xml::Parse("<r><e k=\"1\"/><e k=\"2\"/><e k=\"1\"/></r>",
+                        {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  auto query = xq::Compile("/r/e[@k = $v]");
+  ASSERT_TRUE(query.ok());
+  xq::NodeSetCache cache;
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+  opts.variables["v"] = xdm::Sequence(xdm::Item::String("1"));
+  auto run = [&](xq::NodeSetCache* c) {
+    xq::ExecuteOptions o = opts;
+    o.eval.nodeset_cache = c;
+    return xq::Execute(*query, o);
+  };
+  ASSERT_TRUE(run(&cache).ok());
+  auto warm = run(&cache);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm->sequence.size(), 2u);
+  EXPECT_EQ(warm->stats.index_probes, 1u);
+
+  xml::Node* second = (*doc)->DocumentElement()->children()[1];
+  second->SetAttribute("k", "1");
+
+  auto after = run(&cache);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->stats.nodeset_cache_hits, 1u);
+  EXPECT_EQ(after->stats.nodeset_cache_invalidations, 0u);
+  EXPECT_EQ(after->stats.index_probes, 1u);
+  EXPECT_EQ(Outcome(after), Outcome(run(nullptr)));
+  EXPECT_EQ(after->sequence.size(), 3u);
+}
+
+// Four readers probe one shared entry whose postings nobody has built yet,
+// so the lazy once-only build races under ThreadSanitizer.
+TEST(IndexProbeConcurrency, ReadersBuildPostingsLazily) {
+  std::string xml = "<r>";
+  for (int i = 0; i < 200; ++i) {
+    xml += "<e k=\"" + std::to_string(i % 10) + "\" id=\"" +
+           std::to_string(i) + "\"/>";
+  }
+  xml += "</r>";
+  auto doc = xml::Parse(xml, {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  (*doc)->EnsureOrderIndex();
+  auto warm = xq::Compile("count(/r/e)");
+  auto probe = xq::Compile(
+      "for $i in 0 to 9 return count(/r/e[@k = string($i)][@id = $id])");
+  ASSERT_TRUE(warm.ok() && probe.ok());
+  xq::NodeSetCache cache;
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+  opts.eval.nodeset_cache = &cache;
+  ASSERT_TRUE(xq::Execute(*warm, opts).ok());  // the entry, no postings yet
+
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  std::vector<int> failures(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < 5; ++i) {
+        const int id = t * 50 + i;
+        xq::ExecuteOptions o = opts;
+        o.variables["id"] =
+            xdm::Sequence(xdm::Item::String(std::to_string(id)));
+        auto r = xq::Execute(*probe, o);
+        std::string want;
+        for (int k = 0; k < 10; ++k) {
+          want += std::string(k == 0 ? "" : " ") + (k == id % 10 ? "1" : "0");
+        }
+        if (!r.ok() || r->SerializedItems() != want ||
+            r->stats.index_probes != 10u) {
+          ++failures[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
 }
 
 }  // namespace

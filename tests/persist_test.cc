@@ -202,6 +202,7 @@ const char* kFeatureQueries[] = {
     "subsequence(//a/b, 1, 2)",
     "(//a/ancestor::*)[1]",
     "string-join(for $s in (\"x\",\"y\") return $s, \"-\")",
+    "let $k := \"1\" let $all := //a return ($all[@k = $k], //b[$k = @k])",
 };
 
 TEST(PersistPlans, RoundtripPreservesExplainExactly) {

@@ -322,6 +322,61 @@ TEST(UpdateServer, PublishUpdateAppliesThroughCopyOnWrite) {
   EXPECT_EQ(server.CurrentSnapshot("lib")->version(), 2u);
 }
 
+// The stale-index regression through the server: a publish that changes a
+// member's @k (an edit function, then an update-language rename) must leave
+// the migrated `/r/e` entry hitting -- its guards watch r's child list --
+// while the probe answers from postings rebuilt on the new snapshot, equal
+// to a cache-off evaluation of that snapshot.
+TEST(UpdateServer, AttributeEditsKeepEntryAndRebuildProbePostings) {
+  MetricsRegistry metrics;
+  server::QueryServer server(UpdateTestOptions(&metrics));
+  ASSERT_TRUE(
+      server.AddDocumentXml("r", "<r><e k=\"1\"/><e k=\"2\"/><e k=\"1\"/></r>")
+          .ok());
+  const std::string q = "let $v := \"1\" return /r/e[@k = $v]";
+  auto cache_off = [&server, &q] {
+    server::SnapshotPtr snap = server.CurrentSnapshot("r");
+    xq::ExecuteOptions opts;
+    opts.context_node = snap->root();
+    auto r = xq::Run(q, opts);
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? r->SerializedItems() : std::string();
+  };
+  server::Session session = server.OpenSession("acme");
+  ASSERT_TRUE(session.Query("r", q).status.ok());
+  server::QueryResponse warm = session.Query("r", q);
+  ASSERT_TRUE(warm.status.ok());
+  EXPECT_EQ(warm.stats.index_probes, 1u);
+  EXPECT_EQ(warm.result, "<e k=\"1\"/><e k=\"1\"/>");
+
+  auto v2 = server.PublishEdit("r", [](xml::Document* doc, xml::Node*) {
+    doc->DocumentElement()->children()[1]->SetAttribute("k", "1");
+    return Status::Ok();
+  });
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  session.Refresh();
+  server::QueryResponse edited = session.Query("r", q);
+  ASSERT_TRUE(edited.status.ok());
+  EXPECT_EQ(edited.snapshot_version, 2u);
+  EXPECT_GE(edited.stats.nodeset_cache_hits, 1u);
+  EXPECT_EQ(edited.stats.nodeset_cache_invalidations, 0u);
+  EXPECT_EQ(edited.stats.index_probes, 1u);
+  EXPECT_EQ(edited.result, cache_off());
+  EXPECT_EQ(edited.result, "<e k=\"1\"/><e k=\"1\"/><e k=\"1\"/>");
+
+  auto v3 = server.PublishUpdate("r", "rename /r/e[1]/@k as j");
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  session.Refresh();
+  server::QueryResponse renamed = session.Query("r", q);
+  ASSERT_TRUE(renamed.status.ok());
+  EXPECT_EQ(renamed.snapshot_version, 3u);
+  EXPECT_GE(renamed.stats.nodeset_cache_hits, 1u);
+  EXPECT_EQ(renamed.stats.nodeset_cache_invalidations, 0u);
+  EXPECT_EQ(renamed.stats.index_probes, 1u);
+  EXPECT_EQ(renamed.result, cache_off());
+  EXPECT_EQ(renamed.result, "<e k=\"1\"/><e k=\"1\"/>");
+}
+
 TEST(UpdateServer, SubtreeScopedInvalidationAcrossPublishUpdate) {
   // THE acceptance criterion: server-verb update statements trigger only
   // subtree-scoped invalidations for anchored cached queries. Warm two
