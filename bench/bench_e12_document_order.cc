@@ -15,8 +15,8 @@
 //     of depth.
 //   * `//` queries end to end through the engine, deep and wide.
 //   * a union chain (//a | //b | //c), whose every | re-normalizes.
-//   * the optimizer's order analysis: a provably-ordered child chain with
-//     the analysis on vs off (sorts_skipped vs sorts_performed).
+//   * the optimizer's order analysis: a provably-ordered child chain, whose
+//     counters show the normalizing sort skipped (sorts_skipped).
 //
 // Results go to stdout AND BENCH_e12.json (JSON reporter).
 
@@ -152,8 +152,8 @@ BENCHMARK(BM_E12_IndexRebuild)->ArgName("depth")->Arg(100)->Arg(400);
 
 // --- `//` queries end to end ----------------------------------------------
 
-void RunQuery(benchmark::State& state, Document* doc, const std::string& text,
-              bool order_tracking = true) {
+void RunQuery(benchmark::State& state, Document* doc,
+              const std::string& text) {
   auto compiled = lll::xq::Compile(text);
   if (!compiled.ok()) {
     state.SkipWithError("compile failed");
@@ -161,7 +161,6 @@ void RunQuery(benchmark::State& state, Document* doc, const std::string& text,
   }
   lll::xq::ExecuteOptions opts;
   opts.context_node = doc->root();
-  opts.eval.order_tracking = order_tracking;
   size_t results = 0;
   lll::xq::EvalStats stats;
   for (auto _ : state) {
@@ -200,22 +199,14 @@ BENCHMARK(BM_E12_UnionChain)->ArgName("branches")->Arg(20)->Arg(60);
 
 // --- Order tracking: proven chains skip their sorts ------------------------
 //
-// The same provably-ordered child chain with the skip machinery on (static
-// annotations + dynamic tracking; sorts_skipped == steps) and off (the
-// pre-index behavior: normalize after every step). The counters in
-// BENCH_e12.json show where the time went.
+// A provably-ordered child chain: no sort is performed (sorts_performed == 0
+// in BENCH_e12.json).
 
 void BM_E12_ProvableChainTracked(benchmark::State& state) {
   auto doc = MakeWideTree(60, 20);
   RunQuery(state, doc.get(), "/root/branch/a");
 }
 BENCHMARK(BM_E12_ProvableChainTracked);
-
-void BM_E12_ProvableChainAlwaysSort(benchmark::State& state) {
-  auto doc = MakeWideTree(60, 20);
-  RunQuery(state, doc.get(), "/root/branch/a", /*order_tracking=*/false);
-}
-BENCHMARK(BM_E12_ProvableChainAlwaysSort);
 
 }  // namespace
 

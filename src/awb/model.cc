@@ -56,16 +56,6 @@ void ModelNode::SetProperty(std::string_view name, std::string_view value) {
   StoreProperty(&properties_, name, value);
 }
 
-bool ModelNode::RemoveProperty(std::string_view name) {
-  for (auto it = properties_.begin(); it != properties_.end(); ++it) {
-    if (it->first == name) {
-      properties_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
 const std::string* RelationObject::Property(std::string_view name) const {
   return LookupProperty(properties_, name);
 }

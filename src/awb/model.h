@@ -30,7 +30,6 @@ class ModelNode {
   // Value of a property, or nullptr.
   const std::string* Property(std::string_view name) const;
   void SetProperty(std::string_view name, std::string_view value);
-  bool RemoveProperty(std::string_view name);
 
  private:
   friend class Model;

@@ -35,9 +35,17 @@ std::string Status::ToString() const {
   std::string out = StatusCodeName(code_);
   out += ": ";
   out += message_;
-  for (const std::string& frame : context_) {
+  // A run of identical adjacent frames (runaway recursion repeats one call
+  // frame up to the depth limit) renders once, with its count.
+  for (size_t i = 0; i < context_.size();) {
+    size_t run = 1;
+    while (i + run < context_.size() && context_[i + run] == context_[i]) {
+      ++run;
+    }
     out += "\n  ";
-    out += frame;
+    out += context_[i];
+    if (run > 1) out += " (x" + std::to_string(run) + ")";
+    i += run;
   }
   return out;
 }

@@ -97,7 +97,9 @@ class Status {
     return *this;
   }
 
-  // Full report: "TypeError: <msg>\n  while ...\n  while ...".
+  // Full report: "TypeError: <msg>\n  while ...\n  while ...". A run of
+  // identical adjacent frames prints once as "<frame> (xN)"; context() still
+  // holds every frame.
   std::string ToString() const;
 
  private:

@@ -1,7 +1,5 @@
 #include "obs/trace_sink.h"
 
-#include <cstdio>
-
 namespace lll::obs {
 
 const char* TraceEventKindName(TraceEvent::Kind kind) {
@@ -86,15 +84,6 @@ std::vector<TraceEvent> RingBufferTraceSink::Snapshot() const {
 uint64_t RingBufferTraceSink::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dropped_;
-}
-
-void StderrTraceSink::Emit(TraceEvent event) {
-  event.seq = NextSeq();
-  std::string line = FormatTraceEvent(event);
-  line.push_back('\n');
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fwrite(line.data(), 1, line.size(), stderr);
-  std::fflush(stderr);  // the whole point: no event stuck in a buffer
 }
 
 void TeeTraceSink::Emit(TraceEvent event) {

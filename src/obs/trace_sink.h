@@ -91,17 +91,7 @@ class RingBufferTraceSink : public TraceSink {
   uint64_t dropped_ = 0;
 };
 
-// Writes each event to stderr and flushes before returning: the one place
-// in the system where trace output cannot be lost to buffering.
-class StderrTraceSink : public TraceSink {
- public:
-  void Emit(TraceEvent event) override;
-
- private:
-  std::mutex mu_;
-};
-
-// Fans out to two sinks (e.g. collect for the test AND mirror to stderr).
+// Fans out to two sinks (e.g. collect for the test AND keep a bounded ring).
 class TeeTraceSink : public TraceSink {
  public:
   TeeTraceSink(TraceSink* a, TraceSink* b) : a_(a), b_(b) {}

@@ -148,12 +148,6 @@ void QueryServer::SetQuota(const std::string& tenant,
   t->quota = quota;
 }
 
-TenantQuota QueryServer::QuotaFor(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(tenants_mu_);
-  auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? options_.default_quota : it->second->quota;
-}
-
 void QueryServer::CountRejection(const std::string& tenant) {
   metrics_->counter("server.queries_rejected").Increment();
   metrics_->counter("server.tenant." + tenant + ".rejected").Increment();

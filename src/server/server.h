@@ -161,7 +161,6 @@ class QueryServer {
   // --- Tenants & sessions --------------------------------------------------
 
   void SetQuota(const std::string& tenant, const TenantQuota& quota);
-  TenantQuota QuotaFor(const std::string& tenant) const;
   Session OpenSession(const std::string& tenant) {
     return Session(this, tenant);
   }

@@ -11,13 +11,6 @@ bool Sequence::AllNodes() const {
   return true;
 }
 
-bool Sequence::AnyNode() const {
-  for (const Item& it : items_) {
-    if (it.is_node()) return true;
-  }
-  return false;
-}
-
 bool Sequence::SortDocumentOrderAndDedup(size_t* compare_count) {
   if (ordered_deduped_ || items_.size() <= 1) {
     ordered_deduped_ = true;

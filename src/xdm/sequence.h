@@ -71,8 +71,6 @@ class Sequence {
 
   // True if every item is a node.
   bool AllNodes() const;
-  // True if any item is a node.
-  bool AnyNode() const;
 
   // The order invariant: true means "if this is a node sequence, it is in
   // document order with no duplicate nodes". Set by sorting (or by an

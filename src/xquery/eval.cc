@@ -434,26 +434,41 @@ bool Evaluator::PredicateBlocksStreaming(const Expr& e) const {
 //
 // A streamable step chain is evaluated as a pull pipeline: one StreamStage
 // per axis step, each exposing its (document-ordered, deduplicated) result a
-// node at a time. An axis stage lazily merges per-context "runs" -- one lazy
-// axis enumeration per context node -- on a min-heap keyed by the order-key
-// index (PR 2). Forward axes guarantee every result's key >= its context's
-// key, so upstream contexts are activated only while they could still beat
-// the heap minimum; the pipeline therefore buffers O(active runs), not
+// node at a time. An axis stage merges per-context "runs" -- one axis
+// enumeration per context node -- on a min-heap keyed by the order-key
+// index. A forward stage activates upstream contexts only while they could
+// still beat the heap minimum, so it buffers O(active runs), not
 // O(intermediate result), and a consumer that stops pulling (positional
 // predicate satisfied, fn:exists answered, boolean context decided) leaves
-// the remaining work undone.
+// the remaining work undone. A reverse stage is a barrier (see
+// StreamAxisStage).
 
-// One lazily-enumerated forward-axis run from a single context node: yields,
-// in document order, the axis candidates that pass the node test and the
-// step's predicate chain. Positional predicates count per run -- exactly the
-// per-context counting the materializing EvalStep does eagerly -- and a
-// literal-integer predicate [N] exhausts the run the moment its counter
-// reaches N, because no later candidate can ever pass that stage again.
-class Evaluator::StreamRun {
+// One axis enumeration from a single context node, in AXIS order: document
+// order for the forward axes, reverse document order for parent,
+// ancestor(-or-self) and preceding-sibling, which walk parent pointers
+// upward and the sibling vector backwards -- so no run ever sorts. The node
+// test and the step's predicate chain apply during the walk. Positional
+// predicates count per run, in axis order -- exactly the per-context
+// counting the materializing EvalStep does eagerly, so [1] selects the
+// nearest ancestor or sibling -- and a literal-integer predicate [N] ends
+// the walk once its counter reaches N, because no later candidate can ever
+// pass that stage again.
+//
+// A forward run yields its passers lazily. A reverse run drains its walk
+// into a buffer when activated and serves the buffer back to front, i.e. in
+// document order, so both directions feed the same merge. An exhausted run
+// may be activated again on another context; it keeps its allocations.
+class Evaluator::AxisRun {
  public:
-  StreamRun(Evaluator* ev, const PathStep* step, xml::Node* context)
-      : ev_(ev), step_(step) {
-    switch (step->axis) {
+  AxisRun(Evaluator* ev, const PathStep* step)
+      : ev_(ev), step_(step), reverse_(IsReverseStreamableAxis(step->axis)) {}
+
+  // Starts the walk from `context`. A forward run moves to its first
+  // passer; a reverse run runs its whole walk now -- its stage is a barrier
+  // anyway, so there is nothing to gain from enumerating lazily.
+  Status Activate(xml::Node* context) {
+    ClearWalk();
+    switch (step_->axis) {
       case Axis::kChild:
         list_ = context->children();
         break;
@@ -461,48 +476,99 @@ class Evaluator::StreamRun {
         list_ = context->attributes();
         break;
       case Axis::kSelf:
-        self_ = context;
+        first_ = context;
         break;
+      case Axis::kDescendantOrSelf:
+        first_ = context;
+        [[fallthrough]];
       case Axis::kDescendant:
         stack_.emplace_back(context, 0);
         break;
-      case Axis::kDescendantOrSelf:
-        self_ = context;
-        stack_.emplace_back(context, 0);
-        break;
       case Axis::kFollowingSibling:
+      case Axis::kPrecedingSibling:
+        // Attributes have an owner but no siblings on these axes (mirrors
+        // the materializing EvalStep guard). Their ancestor chain, by
+        // contrast, starts at the owner via parent().
         if (context->parent() != nullptr && !context->is_attribute()) {
           list_ = context->parent()->children();
-          cursor_ = context->IndexInParent() + 1;
+          cursor_ = context->IndexInParent() + (reverse_ ? 0 : 1);
         }
         break;
-      default:
-        break;  // reverse axes run as ReverseRuns (StreamReverseAxisStage)
+      case Axis::kParent:
+        first_ = context->parent();
+        break;
+      case Axis::kAncestorOrSelf:
+        first_ = context;
+        [[fallthrough]];
+      case Axis::kAncestor:
+        chain_ = context->parent();
+        break;
     }
-    positions_.assign(step->predicates.size(), 0);
+    spent_ = false;
+    positions_.assign(step_->predicates.size(), 0);
+    if (!reverse_) return Walk<false>();
+    buffer_.clear();
+    LLL_RETURN_IF_ERROR(Walk<true>());
+    front_ = buffer_.empty() ? nullptr : buffer_.back();
+    return Status::Ok();
   }
 
-  // The current passing candidate; nullptr once exhausted.
+  // The current passer, in document order; nullptr once exhausted.
   xml::Node* front() const { return front_; }
 
-  // Moves front() to the next passing candidate (or exhausts the run).
+  // Moves front() to the next passer (or exhausts the run).
   Status Advance() {
-    if (exhaust_after_front_) {
-      AccountAbandoned();  // the candidates the spent [N] will never examine
-      done_ = true;
+    if (!reverse_) return Walk<false>();
+    buffer_.pop_back();
+    front_ = buffer_.empty() ? nullptr : buffer_.back();
+    return Status::Ok();
+  }
+
+  // Lower bound on axis candidates this run will now never examine, charged
+  // to nodes_skipped_early_exit: a pending first candidate, the exact
+  // sibling-vector remainder, the immediate unvisited children of each
+  // descendant frame, and one for a pending ancestor link -- a cheap floor,
+  // not the subtree size or the chain length. Buffered reverse passers are
+  // not counted: they were visited (and charged to nodes_pulled).
+  void AccountAbandoned() {
+    size_t n = 0;
+    if (first_ != nullptr) ++n;
+    n += reverse_ ? cursor_ : list_.size() - cursor_;
+    for (const auto& frame : stack_) {
+      n += frame.first->children().size() - frame.second;
     }
+    if (chain_ != nullptr) ++n;
+    ev_->ChargeSkipped(n);
+    ClearWalk();
+  }
+
+ private:
+  // Drops what is left of the walk.
+  void ClearWalk() {
+    first_ = nullptr;
+    list_ = xml::NodeList();
+    cursor_ = 0;
+    stack_.clear();
+    chain_ = nullptr;
+  }
+
+  // Walks on to the next candidate that passes the node test and every
+  // predicate and makes it front_ (nullptr once the walk is over). With
+  // `kDrain`, walks to the end instead, collecting every passer in buffer_
+  // (a compile-time flag: the drain is the reverse stage's hot loop).
+  template <bool kDrain>
+  Status Walk() {
     front_ = nullptr;
-    if (done_) return Status::Ok();
     for (;;) {
-      xml::Node* candidate = NextCandidate();
-      if (candidate == nullptr) {
-        done_ = true;
+      if (spent_) {
+        AccountAbandoned();  // the candidates the spent [N] will never examine
         return Status::Ok();
       }
+      xml::Node* candidate = NextCandidate();
+      if (candidate == nullptr) return Status::Ok();
       ++ev_->stats_.nodes_pulled;
       if (!MatchesTest(candidate, step_->test, step_->axis)) continue;
       bool keep = true;
-      bool spent = false;  // some literal [N] stage just consumed its N-th
       for (size_t j = 0; j < step_->predicates.size() && keep; ++j) {
         const Expr& pred = *step_->predicates[j];
         size_t pos = ++positions_[j];
@@ -521,46 +587,34 @@ class Evaluator::StreamRun {
         if (pred.kind == ExprKind::kLiteral &&
             pred.literal_type == Expr::LiteralType::kInteger &&
             static_cast<int64_t>(pos) >= pred.integer) {
-          spent = true;
+          spent_ = true;  // some literal [N] stage just consumed its N-th
         }
       }
-      if (keep) {
+      if (!keep) continue;
+      if (!kDrain) {
         front_ = candidate;
-        exhaust_after_front_ = spent;
         return Status::Ok();
       }
-      if (spent) {
-        AccountAbandoned();
-        done_ = true;
-        return Status::Ok();
-      }
+      buffer_.push_back(candidate);
     }
   }
 
-  // Lower bound on axis candidates this run will now never examine, charged
-  // to nodes_skipped_early_exit. For descendant stacks only the immediate
-  // unvisited children of each frame are counted -- a cheap floor, not the
-  // full subtree size.
-  void AccountAbandoned() {
-    size_t n = 0;
-    if (self_ != nullptr) ++n;
-    n += list_.size() - cursor_;
-    for (const auto& frame : stack_) {
-      n += frame.first->children().size() - frame.second;
-    }
-    ev_->ChargeSkipped(n);
-    self_ = nullptr;
-    list_ = xml::NodeList();
-    stack_.clear();
-  }
-
- private:
-  // The next axis candidate in document order, unfiltered.
+  // The next axis candidate in axis order, unfiltered: a pending first
+  // candidate (the context for self and the -or-self axes, the parent for
+  // parent::), then whichever source of the run's direction is live -- the
+  // sibling list counting down or the ancestor chain; the child, attribute
+  // or sibling list counting up or the descendant stack.
   xml::Node* NextCandidate() {
-    if (self_ != nullptr) {
-      xml::Node* s = self_;
-      self_ = nullptr;
-      return s;
+    if (first_ != nullptr) {
+      xml::Node* f = first_;
+      first_ = nullptr;
+      return f;
+    }
+    if (reverse_) {
+      if (cursor_ > 0) return list_[--cursor_];
+      xml::Node* c = chain_;
+      if (c != nullptr) chain_ = c->parent();
+      return c;
     }
     if (cursor_ < list_.size()) return list_[cursor_++];
     while (!stack_.empty()) {
@@ -578,16 +632,19 @@ class Evaluator::StreamRun {
 
   Evaluator* ev_;
   const PathStep* step_;
+  const bool reverse_;
+  bool spent_ = false;  // a literal [N] reached N: no further passers
   xml::Node* front_ = nullptr;
-  bool done_ = false;
-  bool exhaust_after_front_ = false;
-  // Enumeration state; at most one of self_/list_/stack_ is live at a time
-  // (descendant-or-self drains self_ first, then the stack).
-  xml::Node* self_ = nullptr;
-  xml::NodeList list_;  // empty when this enumeration source is not in use
+  // The walk.
+  xml::Node* first_ = nullptr;
+  xml::Node* chain_ = nullptr;  // next ancestor link
+  xml::NodeList list_;  // child/attribute/sibling candidates, else empty
+  // Forward: list_[cursor_..] remain; reverse: list_[..cursor_-1], walked
+  // down.
   size_t cursor_ = 0;
-  std::vector<std::pair<xml::Node*, size_t>> stack_;
+  std::vector<std::pair<xml::Node*, size_t>> stack_;  // (node, next child)
   std::vector<size_t> positions_;  // 1-based per-predicate counters
+  std::vector<xml::Node*> buffer_;  // reverse passers, reverse doc order
 };
 
 // Pull interface of one pipeline stage: a document-ordered, duplicate-free
@@ -625,11 +682,31 @@ class Evaluator::StreamBaseStage : public StreamStage {
   size_t index_ = 0;
 };
 
-// One axis step: a lazy k-way merge of per-context StreamRuns.
+// One axis step: a lazy k-way document-order merge of per-context AxisRuns.
+// Front() rests on two invariants: (1) every upstream context that could
+// still produce the globally-next node has been activated; (2) the heap
+// minimum is not a duplicate of the last emitted node -- overlapping runs
+// (nested descendant contexts, siblings sharing an ancestor chain) yield the
+// same node only at adjacent heap minima, because emission is non-decreasing
+// in key and keys identify nodes.
+//
+// Direction changes one activation rule. Forward-axis results have keys >=
+// their context's key, so a forward stage stops activating once the next
+// context's key exceeds the heap minimum. Reverse-axis results have keys <=
+// their context's key -- the root is an ancestor of everything -- so a later
+// context can still produce the smallest result: a reverse stage is a
+// BARRIER that drains its upstream before the first emission. Its win over
+// the materializing path is then not laziness upstream but (a) no
+// normalizing sort -- runs arrive ordered and merging costs O(k log runs) --
+// and (b) per-run [N] exhaustion, where [1] ends each walk at its first
+// passer.
 class Evaluator::StreamAxisStage : public StreamStage {
  public:
   StreamAxisStage(Evaluator* ev, const PathStep* step, StreamStage* upstream)
-      : ev_(ev), step_(step), upstream_(upstream) {}
+      : ev_(ev),
+        step_(step),
+        upstream_(upstream),
+        barrier_(IsReverseStreamableAxis(step->axis)) {}
 
   Result<xml::Node*> Front() override {
     LLL_RETURN_IF_ERROR(Settle());
@@ -644,7 +721,7 @@ class Evaluator::StreamAxisStage : public StreamStage {
   }
 
   void Abandon() override {
-    for (StreamRun* run : heap_) run->AccountAbandoned();
+    for (AxisRun* run : heap_) run->AccountAbandoned();
     heap_.clear();
     upstream_->Abandon();
   }
@@ -656,17 +733,11 @@ class Evaluator::StreamAxisStage : public StreamStage {
   // pre-existing nodes (trees are stamped in root-pointer order), so
   // comparisons between fresh reads stay correct where cached key values
   // would not.
-  static bool HeapAfter(const StreamRun* a, const StreamRun* b) {
+  static bool HeapAfter(const AxisRun* a, const AxisRun* b) {
     return a->front()->order_key() > b->front()->order_key();
   }
 
-  // Restores the two invariants behind Front(): (1) every upstream context
-  // that could still produce the globally-next node has been activated --
-  // forward-axis results have keys >= their context's key, so activation
-  // stops once the next context's key exceeds the heap minimum; (2) the
-  // heap minimum is not a duplicate of the last emitted node (overlapping
-  // descendant runs yield the same node only at adjacent heap minima,
-  // because emission is non-decreasing in key and keys identify nodes).
+  // Restores the two invariants behind Front().
   Status Settle() {
     for (;;) {
       while (!upstream_done_) {
@@ -675,16 +746,24 @@ class Evaluator::StreamAxisStage : public StreamStage {
           upstream_done_ = true;
           break;
         }
-        if (!heap_.empty() &&
+        if (!barrier_ && !heap_.empty() &&
             context->order_key() > heap_.front()->front()->order_key()) {
           break;
         }
         LLL_RETURN_IF_ERROR(upstream_->Pop());
-        runs_.emplace_back(ev_, step_, context);
-        StreamRun& run = runs_.back();
-        LLL_RETURN_IF_ERROR(run.Advance());
-        if (run.front() != nullptr) {
-          heap_.push_back(&run);
+        AxisRun* run;
+        if (spare_.empty()) {
+          run = &runs_.emplace_back(ev_, step_);
+        } else {
+          run = spare_.back();
+          spare_.pop_back();
+        }
+        LLL_RETURN_IF_ERROR(run->Activate(context));
+        if (run->front() == nullptr) {
+          spare_.push_back(run);
+        } else {
+          if (barrier_) ++ev_->stats_.reverse_runs_merged;
+          heap_.push_back(run);
           std::push_heap(heap_.begin(), heap_.end(), HeapAfter);
         }
       }
@@ -697,10 +776,12 @@ class Evaluator::StreamAxisStage : public StreamStage {
 
   Status AdvanceMin() {
     std::pop_heap(heap_.begin(), heap_.end(), HeapAfter);
-    StreamRun* run = heap_.back();
+    AxisRun* run = heap_.back();
     heap_.pop_back();
     LLL_RETURN_IF_ERROR(run->Advance());
-    if (run->front() != nullptr) {
+    if (run->front() == nullptr) {
+      spare_.push_back(run);
+    } else {
       heap_.push_back(run);
       std::push_heap(heap_.begin(), heap_.end(), HeapAfter);
     }
@@ -710,241 +791,15 @@ class Evaluator::StreamAxisStage : public StreamStage {
   Evaluator* ev_;
   const PathStep* step_;
   StreamStage* upstream_;
-  std::deque<StreamRun> runs_;    // deque: stable addresses for heap_
-  std::vector<StreamRun*> heap_;  // min-heap by front()->order_key()
+  const bool barrier_;  // reverse axis: drain upstream before emitting
+  // Every run this stage made (a deque: stable addresses). Exhausted runs
+  // wait in spare_ for the next activation, so a forward stage holds
+  // O(active runs), not one run per context.
+  std::deque<AxisRun> runs_;
+  std::vector<AxisRun*> spare_;
+  std::vector<AxisRun*> heap_;  // min-heap by front()->order_key()
   xml::Node* last_emitted_ = nullptr;
   bool upstream_done_ = false;
-};
-
-// One reverse-axis run from a single context node. The axis is enumerated
-// natively in AXIS order -- which for parent/ancestor(-or-self)/
-// preceding-sibling IS reverse document order, by construction: ancestor
-// chains walk parent pointers upward and preceding siblings walk the child
-// vector backwards, so no per-run sort is ever needed. Node test and
-// predicates apply during that walk with per-run positional counting in axis
-// order (so [1] selects the NEAREST ancestor/sibling, matching the
-// materializing evaluator, and a literal [N] exhausts the walk at its N-th
-// passer). Passing candidates are buffered and then served BACK to front,
-// i.e. in document order, which is what lets the merge stage above compose
-// with downstream forward stages and the shared early-exit contract.
-class Evaluator::ReverseRun {
- public:
-  ReverseRun(Evaluator* ev, const PathStep* step, xml::Node* context)
-      : ev_(ev), step_(step) {
-    switch (step->axis) {
-      case Axis::kParent:
-        chain_ = context->parent();
-        chain_stop_after_first_ = true;
-        break;
-      case Axis::kAncestor:
-        chain_ = context->parent();
-        break;
-      case Axis::kAncestorOrSelf:
-        self_ = context;
-        chain_ = context->parent();
-        break;
-      case Axis::kPrecedingSibling:
-        // Attributes have an owner but no preceding siblings on this axis
-        // (mirrors the materializing EvalStep guard). Their ANCESTOR chain,
-        // by contrast, starts at the owner via parent().
-        if (context->parent() != nullptr && !context->is_attribute()) {
-          list_ = context->parent()->children();
-          cursor_ = context->IndexInParent();  // candidates: [cursor_-1 .. 0]
-        }
-        break;
-      default:
-        break;  // forward axes run as StreamRuns
-    }
-    positions_.assign(step->predicates.size(), 0);
-  }
-
-  // Runs the whole axis walk, filling buffer_ with passing candidates in
-  // reverse document order. Called once, at stage open; the stage is a
-  // barrier anyway (see StreamReverseAxisStage), so there is nothing to
-  // gain from enumerating lazily across Fill calls.
-  Status Fill() {
-    for (;;) {
-      xml::Node* candidate = NextCandidate();
-      if (candidate == nullptr) return Status::Ok();
-      ++ev_->stats_.nodes_pulled;
-      if (!MatchesTest(candidate, step_->test, step_->axis)) continue;
-      bool keep = true;
-      bool spent = false;
-      for (size_t j = 0; j < step_->predicates.size() && keep; ++j) {
-        const Expr& pred = *step_->predicates[j];
-        size_t pos = ++positions_[j];
-        bool outer_probe = ev_->suppress_skip_charges_;
-        ev_->suppress_skip_charges_ = true;
-        Result<bool> kept =
-            ev_->PredicateKeep(pred, Item::NodeRef(candidate), pos,
-                               /*size=*/pos);
-        ev_->suppress_skip_charges_ = outer_probe;
-        if (!kept.ok()) return kept.status();
-        keep = *kept;
-        if (pred.kind == ExprKind::kLiteral &&
-            pred.literal_type == Expr::LiteralType::kInteger &&
-            static_cast<int64_t>(pos) >= pred.integer) {
-          spent = true;
-        }
-      }
-      if (keep) buffer_.push_back(candidate);
-      if (spent) {
-        AccountAbandoned();  // the rest of the walk can never pass again
-        return Status::Ok();
-      }
-    }
-  }
-
-  // Document-order serving over the reverse-ordered buffer.
-  xml::Node* front() const {
-    return serve_ == 0 ? nullptr : buffer_[serve_ - 1];
-  }
-  void Pop() {
-    if (serve_ > 0) --serve_;
-  }
-
-  // Lower bound on candidates this run will now never examine. Unserved
-  // BUFFERED nodes are not counted -- they were already visited (and
-  // charged to nodes_pulled); the skip floor only covers the abandoned
-  // remainder of the enumeration: the exact sibling-vector remainder, plus
-  // one for a pending ancestor link (walking the chain just to count it
-  // would defeat the point -- a floor, as documented on the stat).
-  void AccountAbandoned() {
-    size_t n = 0;
-    if (self_ != nullptr) ++n;
-    n += cursor_;
-    if (chain_ != nullptr) ++n;
-    ev_->ChargeSkipped(n);
-    self_ = nullptr;
-    list_ = xml::NodeList();
-    cursor_ = 0;
-    chain_ = nullptr;
-  }
-
-  void FinishFill() { serve_ = buffer_.size(); }
-
- private:
-  // The next axis candidate in reverse document order, unfiltered.
-  xml::Node* NextCandidate() {
-    if (self_ != nullptr) {  // ancestor-or-self: self comes first (nearest)
-      xml::Node* s = self_;
-      self_ = nullptr;
-      return s;
-    }
-    if (cursor_ > 0) return list_[--cursor_];
-    if (chain_ != nullptr) {
-      xml::Node* c = chain_;
-      chain_ = chain_stop_after_first_ ? nullptr : c->parent();
-      return c;
-    }
-    return nullptr;
-  }
-
-  Evaluator* ev_;
-  const PathStep* step_;
-  // Enumeration state; at most one of self_/list_/chain_ feeds at a time
-  // (ancestor-or-self drains self_ first, then the parent chain).
-  xml::Node* self_ = nullptr;
-  xml::NodeList list_;  // empty when this enumeration source is not in use
-  size_t cursor_ = 0;  // counts DOWN; candidates remaining in list_
-  xml::Node* chain_ = nullptr;
-  bool chain_stop_after_first_ = false;  // parent:: is a one-link chain
-  std::vector<size_t> positions_;        // 1-based, in axis order
-  std::vector<xml::Node*> buffer_;       // passers, reverse document order
-  size_t serve_ = 0;                     // buffer_[serve_-1] is the front
-};
-
-// One reverse-axis step: a k-way document-order merge of per-context
-// ReverseRuns. Unlike the forward stage this is a BARRIER: reverse-axis
-// results have keys <= their context's key, so a context arriving later (in
-// document order) can still produce the globally smallest result -- the
-// root is an ancestor of everything. The stage therefore drains its
-// upstream completely before the first emission; its win over the
-// materializing path is not laziness upstream but (a) skipping the
-// O(k log k) normalizing sort -- runs are pre-ordered and merging costs
-// O(k log runs) -- and (b) per-run early exhaustion for literal [N]
-// predicates, where [1] = the nearest ancestor/sibling ends each walk at
-// its first passer. Duplicates (sibling contexts share ancestor chains)
-// surface at adjacent heap minima exactly as in the forward stage, so the
-// same last_emitted_ dedup applies.
-class Evaluator::StreamReverseAxisStage : public StreamStage {
- public:
-  StreamReverseAxisStage(Evaluator* ev, const PathStep* step,
-                         StreamStage* upstream)
-      : ev_(ev), step_(step), upstream_(upstream) {}
-
-  Result<xml::Node*> Front() override {
-    LLL_RETURN_IF_ERROR(Settle());
-    return heap_.empty() ? nullptr : heap_.front()->front();
-  }
-
-  Status Pop() override {
-    LLL_RETURN_IF_ERROR(Settle());
-    if (heap_.empty()) return Status::Ok();
-    last_emitted_ = heap_.front()->front();
-    AdvanceMin();
-    return Status::Ok();
-  }
-
-  void Abandon() override {
-    // Runs were fully enumerated at open (or charged their own remainder
-    // when a literal [N] exhausted them); unserved buffered nodes were
-    // visited, not skipped, so there is nothing further to charge here.
-    for (ReverseRun* run : heap_) run->AccountAbandoned();
-    heap_.clear();
-    upstream_->Abandon();
-  }
-
- private:
-  // Same fresh-read discipline as StreamAxisStage::HeapAfter; by merge time
-  // every predicate has already run (fills are complete), but rebuilds
-  // triggered further downstream still preserve relative keys.
-  static bool HeapAfter(const ReverseRun* a, const ReverseRun* b) {
-    return a->front()->order_key() > b->front()->order_key();
-  }
-
-  Status Settle() {
-    if (!opened_) {
-      opened_ = true;
-      for (;;) {
-        LLL_ASSIGN_OR_RETURN(xml::Node* context, upstream_->Front());
-        if (context == nullptr) break;
-        LLL_RETURN_IF_ERROR(upstream_->Pop());
-        runs_.emplace_back(ev_, step_, context);
-        ReverseRun& run = runs_.back();
-        LLL_RETURN_IF_ERROR(run.Fill());
-        run.FinishFill();
-        if (run.front() != nullptr) {
-          ++ev_->stats_.reverse_runs_merged;
-          heap_.push_back(&run);
-        }
-      }
-      std::make_heap(heap_.begin(), heap_.end(), HeapAfter);
-    }
-    while (!heap_.empty() && heap_.front()->front() == last_emitted_) {
-      AdvanceMin();
-    }
-    return Status::Ok();
-  }
-
-  void AdvanceMin() {
-    std::pop_heap(heap_.begin(), heap_.end(), HeapAfter);
-    ReverseRun* run = heap_.back();
-    heap_.pop_back();
-    run->Pop();
-    if (run->front() != nullptr) {
-      heap_.push_back(run);
-      std::push_heap(heap_.begin(), heap_.end(), HeapAfter);
-    }
-  }
-
-  Evaluator* ev_;
-  const PathStep* step_;
-  StreamStage* upstream_;
-  std::deque<ReverseRun> runs_;    // deque: stable addresses for heap_
-  std::vector<ReverseRun*> heap_;  // min-heap by front()->order_key()
-  xml::Node* last_emitted_ = nullptr;
-  bool opened_ = false;
 };
 
 // --- Path dispatch --------------------------------------------------------
@@ -1467,17 +1322,14 @@ Result<Sequence> Evaluator::EvalStepsRange(const Expr& e, size_t first,
 Result<Sequence> Evaluator::EvalStepsMaterialized(const Expr& e, size_t first,
                                                   size_t last,
                                                   Sequence current) {
-  const bool tracking = options_.order_tracking;
   OrderProp prop = OrderProp::kNone;
   for (size_t step_index = first; step_index < last; ++step_index) {
     const PathStep& step = e.steps[step_index];
     // Dynamic upgrades, checked against the CURRENT sequence before the step.
-    if (tracking) {
-      if (current.size() <= 1) {
-        prop = OrderProp::kSingleton;
-      } else if (prop == OrderProp::kNone && current.ordered_deduped()) {
-        prop = OrderProp::kOrdered;
-      }
+    if (current.size() <= 1) {
+      prop = OrderProp::kSingleton;
+    } else if (prop == OrderProp::kNone && current.ordered_deduped()) {
+      prop = OrderProp::kOrdered;
     }
     if (step.is_filter) {
       // Predicates select a subsequence, preserving order/dedup/disjointness.
@@ -1496,11 +1348,11 @@ Result<Sequence> Evaluator::EvalStepsMaterialized(const Expr& e, size_t first,
     }
     current = std::move(*stepped);
     prop = TransferOrder(prop, step.axis);
-    if (tracking && prop == OrderProp::kNone && step.statically_ordered) {
+    if (prop == OrderProp::kNone && step.statically_ordered) {
       prop = OrderProp::kOrdered;
     }
     if (current.AllNodes()) {
-      SortDedup(&current, tracking && prop != OrderProp::kNone);
+      SortDedup(&current, prop != OrderProp::kNone);
     } else {
       prop = OrderProp::kNone;  // atomics (e.g. data-producing last step)
     }
@@ -1521,13 +1373,7 @@ Result<Sequence> Evaluator::EvalStepsStreamed(const Expr& e, size_t first,
   std::vector<std::unique_ptr<StreamStage>> stages;
   StreamStage* top = &base;
   for (size_t i = first; i < last; ++i) {
-    const PathStep* step = &e.steps[i];
-    if (IsReverseStreamableAxis(step->axis)) {
-      stages.push_back(
-          std::make_unique<StreamReverseAxisStage>(this, step, top));
-    } else {
-      stages.push_back(std::make_unique<StreamAxisStage>(this, step, top));
-    }
+    stages.push_back(std::make_unique<StreamAxisStage>(this, &e.steps[i], top));
     top = stages.back().get();
   }
   // Predicate evaluation inside runs sets the focus; restore around the

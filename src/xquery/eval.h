@@ -51,12 +51,6 @@ struct EvalOptions {
   // Borrowed; lets a server abandon in-flight queries at shutdown without
   // tearing down threads mid-evaluation.
   const std::atomic<bool>* cancel = nullptr;
-  // Document-order tracking: when on (default), the evaluator skips the
-  // normalizing sort after a path step or set operator whenever the static
-  // order analysis or dynamic evidence (singleton input, ordered_deduped
-  // bit) proves the result already normalized. Off = sort after every step,
-  // the pre-index behavior; kept as a benchmark baseline (bench_e12).
-  bool order_tracking = true;
   // Streaming path pipelines: when on (default), eligible axis-step chains
   // (streamable axes, predicates free of fn:last()/fn:trace()/user
   // functions, single-document input) are evaluated through a pull-based
@@ -66,9 +60,9 @@ struct EvalOptions {
   // pulling once the answer is determined. Reverse axes run as barrier
   // stages: per-context runs enumerate in reverse document order and are
   // merged back to document order (DESIGN.md section 10). Off = the
-  // pre-streaming materializing evaluator, kept byte-identical as a
-  // differential baseline and benchmark arm (bench_e13/e14), mirroring
-  // order_tracking.
+  // pre-streaming materializing evaluator, kept byte-identical as the
+  // oracle of the streamed-vs-materializing differential and as a
+  // benchmark arm (bench_e13/e14).
   bool streaming = true;
   // Node-set interning: memoizes the leading step chain of document-rooted
   // paths (predicate-free steps plus steps whose predicates are provably
@@ -239,12 +233,10 @@ class Evaluator {
   };
 
   // Streaming pipeline internals (defined in eval.cc).
-  class StreamRun;
-  class ReverseRun;
+  class AxisRun;
   class StreamStage;
   class StreamBaseStage;
   class StreamAxisStage;
-  class StreamReverseAxisStage;
 
   // "No result cap" for EvalPathImpl/EvalPathLimited.
   static constexpr size_t kNoLimit = static_cast<size_t>(-1);

@@ -37,6 +37,19 @@ TEST(Status, GenTroubleContextStacks) {
   EXPECT_NE(report.find("SystemBeingDesigned"), std::string::npos);
   EXPECT_NE(report.find("template node t4"), std::string::npos);
   EXPECT_NE(report.find("System Context"), std::string::npos);
+
+  // A run of identical adjacent frames renders once with its count; runs
+  // separated by another frame stay separate, and context() keeps them all.
+  Status deep = Status::Internal("recursion too deep in 'local:f'");
+  for (int i = 0; i < 512; ++i) deep.AddContext("in call to local:f()");
+  deep.AddContext("in call to local:g() at line 1, column 9");
+  deep.AddContext("in call to local:f()");
+  EXPECT_EQ(deep.context().size(), 514u);
+  EXPECT_EQ(deep.ToString(),
+            "Internal: recursion too deep in 'local:f'\n"
+            "  in call to local:f() (x512)\n"
+            "  in call to local:g() at line 1, column 9\n"
+            "  in call to local:f()");
 }
 
 TEST(Status, AllCodesHaveNames) {

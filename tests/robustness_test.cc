@@ -183,5 +183,18 @@ TEST(Robustness, RecursiveUserFunctionsRespectDepthLimit) {
   EXPECT_NE(result.status().message().find("recursion"), std::string::npos);
 }
 
+TEST(Robustness, RunawayRecursionReportStaysReadable) {
+  // Every one of the ~512 unwound calls adds the same context frame; the
+  // report collapses the run instead of printing it 512 times.
+  auto result = xq::Run(
+      "declare function local:f($n) { local:f($n + 1) }; local:f(1)");
+  ASSERT_FALSE(result.ok());
+  EXPECT_GE(result.status().context().size(), 512u);
+  std::string report = result.status().ToString();
+  EXPECT_LT(report.size(), 1024u) << report;
+  EXPECT_NE(report.find("in call to local:f() (x"), std::string::npos)
+      << report;
+}
+
 }  // namespace
 }  // namespace lll

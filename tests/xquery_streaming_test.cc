@@ -239,6 +239,61 @@ TEST(Streaming, ReverseAxisMergesRunsWithoutSorting) {
   EXPECT_EQ(n->SerializedItems(), "40");  // 80 runs, 40 distinct nearest <y>
 }
 
+TEST(Streaming, PipelineCountersAreExact) {
+  // Exact work counters for forward, reverse and mixed chains over one
+  // fixed document. The other tests bound these counters; this one pins
+  // them, so a change to the run/merge machinery that alters how many
+  // candidates it examines, abandons, merges or sorts shows up here.
+  const std::string xml =
+      "<r>"
+      "<b/><b id=\"b0\"/>"
+      "<a id=\"a1\"><b/><b id=\"b1\"/><c/><c/></a>"
+      "<y id=\"y1\"><y><x/><z/><x/></y><z/></y>"
+      "<a><c/><b/><b/><b/><c id=\"c2\"/></a>"
+      "<y><x id=\"x3\"/><y><z/><x/></y></y>"
+      "<b/><a><b/><c/></a>"
+      "</r>";
+  auto doc = xml::Parse(xml, {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+
+  struct Golden {
+    const char* query;
+    size_t pulled;
+    size_t skipped;
+    size_t reverse_runs;
+    size_t sorts;
+  };
+  const Golden cases[] = {
+      {"//x/ancestor::y[1]/z", 70, 4, 4, 0},
+      {"//a/preceding-sibling::b[2]", 71, 1, 3, 0},
+      {"//b/parent::a/c[1]", 74, 5, 6, 0},
+      {"//@id/ancestor::*[1]", 42, 6, 6, 0},
+      {"//x/ancestor::y", 74, 0, 4, 0},
+      {"//c/following-sibling::*[1]", 61, 3, 0, 0},
+      {"//y//x", 86, 0, 0, 0},
+      {"(//x)[1]", 31, 6, 0, 0},
+      {"exists(//x)", 31, 6, 0, 0},
+      {"fn:head(//z)", 32, 5, 0, 0},
+      {"(//x/ancestor-or-self::y)[2]", 78, 0, 4, 0},
+      {"exists(//z/preceding-sibling::x)", 61, 0, 1, 0},
+      {"count(//y[x]/ancestor::*)", 76, 0, 3, 0},
+      {"(//z | //x)/ancestor::y[1]", 125, 7, 7, 1},
+  };
+  for (const Golden& g : cases) {
+    EvalBothModes(g.query, xml);
+    auto compiled = xq::Compile(g.query);
+    ASSERT_TRUE(compiled.ok()) << g.query;
+    auto r = xq::Execute(*compiled, opts);
+    ASSERT_TRUE(r.ok()) << g.query;
+    EXPECT_EQ(r->stats.nodes_pulled, g.pulled) << g.query;
+    EXPECT_EQ(r->stats.nodes_skipped_early_exit, g.skipped) << g.query;
+    EXPECT_EQ(r->stats.reverse_runs_merged, g.reverse_runs) << g.query;
+    EXPECT_EQ(r->stats.sorts_performed, g.sorts) << g.query;
+  }
+}
+
 TEST(Streaming, TraceInPredicateKeepsEventParity) {
   // fn:trace inside a step predicate disqualifies streaming for that step
   // (trace-parity rule): the streamed plan must fall back so that BOTH the
