@@ -72,7 +72,8 @@ struct CardinalityRule {
   std::string message;  // the warning text shown to the user
 };
 
-// A metamodel: the full pile of declarations. Immutable once Freeze()d.
+// A metamodel: the full pile of declarations. The Add* calls build it; every
+// other member only reads it, so a built metamodel may be shared read-only.
 class Metamodel {
  public:
   explicit Metamodel(std::string name) : name_(std::move(name)) {}

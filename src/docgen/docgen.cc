@@ -22,13 +22,6 @@ Result<std::unique_ptr<xml::Document>> ParseTemplate(
   return xml::Parse(template_xml, opts);
 }
 
-bool IsDirective(const std::string& name) {
-  return name == "for" || name == "if" || name == "label" ||
-         name == "value-of" || name == "section" ||
-         name == "table-of-contents" || name == "table-of-omissions" ||
-         name == "table" || name == "rich-text" || name == "placeholder";
-}
-
 namespace {
 
 // Converts a text-form `nodes` attribute ('; '-separated) into newline form.

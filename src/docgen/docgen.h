@@ -151,9 +151,6 @@ Result<std::unique_ptr<xml::Document>> ParseTemplate(
 // understands only the XML form, so its driver normalizes first.
 Status NormalizeTemplateQueries(xml::Document* doc);
 
-// True if `name` is an AWB directive (vs. a pass-through HTML tag).
-bool IsDirective(const std::string& name);
-
 // Canonicalizes text nodes under `element`, in place: adjacent text siblings
 // merge into one node and zero-length text nodes are dropped. Both engines
 // run this on their final output so the two results are DeepEqual-comparable

@@ -13,11 +13,14 @@
 
 namespace lll::persist {
 
-// Serialized compiled plans: the optimizer-annotated AST (every field
-// CloneExpr preserves -- order bits, streamability/internability advisories,
-// limit hints, line/col) plus the OptimizerStats and rewrite notes, written
+// Serialized compiled plans: the optimizer-annotated AST (order bits,
+// streamability/internability flags, limit hints, line/col) plus the
+// OptimizerStats and rewrite notes, written
 // as a plan-cache artifact (*.lllp) holding one entry per QueryCache slot,
 // keyed by the exact QueryCache::MakeKey string (option bits + '|' + source).
+// The bind pass's results (bind.h) are not written: NameTable ids are
+// process-local, so DecodeCompiledQuery's CompiledQuery binds the plan
+// again (and recomputes the streamability flag it reads back).
 // A loaded plan is indistinguishable from a fresh compile to the evaluator
 // and to EXPLAIN (except for its `disk-cache` provenance tag); the 440-query
 // differential suite in tests/persist_test.cc is the oracle for that claim.

@@ -69,6 +69,14 @@ uint32_t NameTable::Intern(std::string_view name) {
   return id;
 }
 
+uint32_t NameTable::Find(std::string_view name) {
+  if (name.empty()) return 0;
+  Table& t = GlobalTable();
+  std::lock_guard<std::mutex> lock(t.mutex);
+  auto it = t.ids.find(name);
+  return it == t.ids.end() ? kNotInterned : it->second;
+}
+
 const std::string& NameTable::Get(uint32_t id) {
   Table& t = GlobalTable();
   Chunk* chunk = t.chunks[id >> kChunkBits].load(std::memory_order_acquire);

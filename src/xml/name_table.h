@@ -24,8 +24,16 @@ namespace lll::xml {
 // cost is a few KB per distinct tag set, paid once per process.
 class NameTable {
  public:
+  // Returned by Find() for a name never interned.
+  static constexpr uint32_t kNotInterned = 0xFFFFFFFFu;
+
   // Returns the id for `name`, interning it on first sight.
   static uint32_t Intern(std::string_view name);
+
+  // Returns the id for `name` if some document interned it, else
+  // kNotInterned. Lookup only: a query naming an element no document has
+  // leaves the table as it was.
+  static uint32_t Find(std::string_view name);
 
   // The interned string for `id`. The reference is stable for the process
   // lifetime. `id` must have been returned by Intern().

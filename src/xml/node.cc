@@ -469,11 +469,10 @@ Node* Document::ImportNode(const Node* source) {
   // Top-down iterative copy: each node is created and attached before its
   // children are visited, which both survives 100k-deep sources and keeps
   // the clone on the in-order fast path (attach-as-created discipline).
+  // Name ids are process-wide (name_table.h), so a node from any document
+  // carries an id that is valid here too.
   auto copy_one = [this](const Node* src) {
-    uint32_t name_id = src->document() == this
-                           ? src->name_id()
-                           : NameTable::Intern(src->name());
-    return NewSlot(src->kind(), name_id, src->value());
+    return NewSlot(src->kind(), src->name_id(), src->value());
   };
   auto copy_attrs = [&](const Node* src, uint32_t dst) {
     for (const Node* a : src->attributes()) {

@@ -271,6 +271,11 @@ ExprPtr CloneExpr(const Expr& e) {
   out->col = e.col;
   out->limit_hint = e.limit_hint;
   out->statically_limit_pushable = e.statically_limit_pushable;
+  out->intern_prefix = e.intern_prefix;
+  out->intern_fingerprint_size = e.intern_fingerprint_size;
+  out->intern_fingerprint = e.intern_fingerprint;
+  out->bound_udf = e.bound_udf;
+  out->bound_builtin = e.bound_builtin;
   for (const ExprPtr& c : e.children) out->children.push_back(CloneExpr(*c));
   for (const PathStep& s : e.steps) {
     PathStep sc;

@@ -1,16 +1,24 @@
 #ifndef LLL_XQUERY_AST_H_
 #define LLL_XQUERY_AST_H_
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "xdm/item.h"
+#include "xdm/sequence.h"
 
 namespace lll::xq {
 
+class Evaluator;
 struct Expr;
+struct FunctionDecl;
 using ExprPtr = std::unique_ptr<Expr>;
+
+// A builtin function: receives evaluated arguments.
+using BuiltinFn = std::function<Result<xdm::Sequence>(
+    Evaluator&, std::vector<xdm::Sequence>&)>;
 
 // XPath axes. The subset covers everything the paper's document generator
 // used: child::, descendant(-or-self)::, parent:: ("parent::book"), self::,
@@ -40,8 +48,14 @@ enum class NodeTestKind {
 };
 
 struct NodeTest {
+  // Bound name_id meaning "compare by string": the name was not interned
+  // when the plan was bound, so only a document parsed later can carry it.
+  static constexpr uint32_t kUnbound = 0xFFFFFFFFu;
+
   NodeTestKind kind = NodeTestKind::kAnyName;
   std::string name;  // for kName
+  // Set by the bind pass (bind.h): the process-wide NameTable id of `name`.
+  uint32_t name_id = kUnbound;
 };
 
 // Static document-order property of a (node) sequence, used by the
@@ -116,18 +130,18 @@ struct PathStep {
   // document order (and duplicate-free) when the path is evaluated step-wise
   // with inter-step dedup, so the evaluator may skip the normalizing sort.
   bool statically_ordered = false;
-  // Set by the optimizer: this step is syntactically eligible for the
-  // pull-based streaming pipeline (a streamable axis whose predicates never
-  // call fn:last(), fn:trace()/fn:error(), or a user-defined/unknown
-  // function). EXPLAIN renders it as [streamed] for forward axes and
-  // [streamed-rev] for reverse ones. Advisory only -- the
-  // evaluator recomputes eligibility per call, because the CompiledQuery may
-  // be shared across threads and dynamic conditions (single-document input,
-  // EvalOptions::streaming) cannot be known at compile time.
+  // Set by the bind pass (bind.h) on every plan: this step may run in the
+  // pull-based streaming pipeline (a streamable axis, not a filter, and
+  // predicates that never call fn:last(), fn:trace()/fn:error(), or a
+  // user-defined/unknown function). EXPLAIN renders it as [streamed] for
+  // forward axes and [streamed-rev] for reverse ones. The evaluator trusts
+  // it and checks only the dynamic conditions: EvalOptions::streaming and a
+  // nonempty input from one document.
   bool statically_streamable = false;
   // Set by the optimizer: this step belongs to the leading predicate-free
   // chain of a document-rooted path, the shape the node-set interning cache
-  // memoizes. EXPLAIN renders it as [interned]. Advisory, like the above.
+  // memoizes. EXPLAIN renders it as [interned]. Advisory: the evaluator
+  // interns the chain the bind pass found (Expr::intern_prefix).
   bool statically_internable = false;
   // Set by the optimizer: this step's FIRST predicate has the probe shape
   // `@a = E` (or `E = @a`) with E independent of the focus (optimizer.h's
@@ -291,6 +305,22 @@ struct Expr {
   size_t limit_hint = 0;
   // Advisory mirror of limit_hint for EXPLAIN ([limit N]).
   bool statically_limit_pushable = false;
+
+  // kPath, set by the bind pass: the leading steps the node-set interning
+  // cache may memoize (axis steps whose predicates all fold into the key;
+  // see Evaluator::InternPrefix), and the fingerprint that keys them. When
+  // steps[intern_prefix] is statically_probeable, intern_fingerprint goes on
+  // with that step's bare axis and node test -- the probe's candidate set --
+  // and its first intern_fingerprint_size bytes key the prefix alone.
+  size_t intern_prefix = 0;
+  size_t intern_fingerprint_size = 0;
+  std::string intern_fingerprint;
+
+  // kFunctionCall, set by the bind pass: the call target. A user-defined
+  // function wins over a builtin; both null means no function of this name
+  // and arity exists, which is an error only if the call is evaluated.
+  const FunctionDecl* bound_udf = nullptr;
+  const BuiltinFn* bound_builtin = nullptr;
 
   // kFlwor
   std::vector<FlworClause> clauses;

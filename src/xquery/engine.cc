@@ -2,9 +2,18 @@
 
 #include <chrono>
 
+#include "xquery/bind.h"
 #include "xquery/parser.h"
 
 namespace lll::xq {
+
+CompiledQuery::CompiledQuery(Module module, OptimizerStats stats,
+                             PlanOrigin origin)
+    : module_(std::move(module)),
+      optimizer_stats_(std::move(stats)),
+      origin_(origin) {
+  BindModule(&module_);
+}
 
 std::string QueryResult::SerializedItems(
     const xml::SerializeOptions& options) const {

@@ -27,10 +27,12 @@ namespace lll::xq {
 // Concurrency contract (audited; exercised by tests/concurrency_test.cc
 // under ThreadSanitizer):
 //
-//   * A CompiledQuery is immutable after Compile. Execute() only READS the
-//     module -- the evaluator never mutates the AST, and all construction
-//     happens in a per-execution arena owned by the DynamicContext it
-//     creates. Many threads may Execute() the SAME CompiledQuery at once.
+//   * A CompiledQuery is immutable once constructed; its constructor runs
+//     the bind pass (bind.h), which is the last write to the plan. Execute()
+//     only READS the module -- the evaluator never mutates the AST, and all
+//     construction happens in a per-execution arena owned by the
+//     DynamicContext it creates. Many threads may Execute() the SAME
+//     CompiledQuery at once.
 //   * ExecuteOptions documents and the context node are read-only during
 //     execution; node items in results reference either the per-execution
 //     arena (moved into the QueryResult) or the caller's input documents.
@@ -56,9 +58,9 @@ enum class PlanOrigin { kCompiled, kDiskCache };
 
 class CompiledQuery {
  public:
+  // Binds `module` (bind.h): every plan, compiled or loaded, is bound.
   CompiledQuery(Module module, OptimizerStats stats,
-                PlanOrigin origin = PlanOrigin::kCompiled)
-      : module_(std::move(module)), optimizer_stats_(stats), origin_(origin) {}
+                PlanOrigin origin = PlanOrigin::kCompiled);
 
   CompiledQuery(CompiledQuery&&) = default;
   CompiledQuery& operator=(CompiledQuery&&) = default;

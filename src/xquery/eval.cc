@@ -66,13 +66,20 @@ std::string DescribeSite(const Expr& e) {
   return out;
 }
 
+// A name test compares the NameTable id the bind pass found; a name that no
+// document had interned by then compares as a string.
+bool NameMatches(const xml::Node* n, const NodeTest& test) {
+  return test.name_id != NodeTest::kUnbound ? n->name_id() == test.name_id
+                                            : n->name() == test.name;
+}
+
 bool MatchesTest(const xml::Node* n, const NodeTest& test, Axis axis) {
   xml::NodeKind principal = axis == Axis::kAttribute
                                 ? xml::NodeKind::kAttribute
                                 : xml::NodeKind::kElement;
   switch (test.kind) {
     case NodeTestKind::kName:
-      return n->kind() == principal && n->name() == test.name;
+      return n->kind() == principal && NameMatches(n, test);
     case NodeTestKind::kAnyName:
       return n->kind() == principal;
     case NodeTestKind::kText:
@@ -147,9 +154,6 @@ void DynamicContext::BindExternal(const std::string& name, Sequence value) {
 Evaluator::Evaluator(const Module& module, DynamicContext* context,
                      const EvalOptions& options)
     : module_(module), ctx_(context), options_(options) {
-  for (const FunctionDecl& fn : module.functions) {
-    functions_[{fn.name, fn.params.size()}] = &fn;
-  }
   if (ctx_->has_context_item_) {
     focus_.item = ctx_->context_item_;
     focus_.position = 1;
@@ -376,60 +380,6 @@ void Evaluator::SortDedup(Sequence* seq, bool provably_ordered) {
   ++stats_.sorts_performed;
 }
 
-// Streamability of one step at evaluation time; the axis classification
-// (ast.cc) is shared with the optimizer's advisory statically_streamable
-// annotation, which applies the same predicate scan against the module.
-bool Evaluator::StepStreamable(const PathStep& step) const {
-  if (step.is_filter || !IsStreamableAxis(step.axis)) return false;
-  for (const ExprPtr& p : step.predicates) {
-    if (PredicateBlocksStreaming(*p)) return false;
-  }
-  return true;
-}
-
-bool Evaluator::PredicateBlocksStreaming(const Expr& e) const {
-  if (e.kind == ExprKind::kFunctionCall) {
-    std::string stripped = e.name;
-    if (StartsWith(stripped, "fn:")) stripped = stripped.substr(3);
-    // fn:last() observes the focus size, which streaming never knows.
-    // fn:trace()/fn:error() have externally observable effects whose order
-    // and count must match the materializing evaluator: the merge
-    // interleaves per-run predicate evaluation and early exit skips it
-    // outright, so such predicates take the materializing path (the
-    // trace-parity rule). User-defined and unknown functions may do either
-    // internally, so they block too.
-    if (stripped == "last" || stripped == "trace" || stripped == "error") {
-      return true;
-    }
-    size_t arity = e.children.size();
-    if (functions_.count({e.name, arity}) != 0 ||
-        functions_.count({stripped, arity}) != 0) {
-      return true;
-    }
-    if (!IsBuiltinName(stripped)) return true;
-  }
-  for (const ExprPtr& c : e.children) {
-    if (c != nullptr && PredicateBlocksStreaming(*c)) return true;
-  }
-  for (const PathStep& s : e.steps) {
-    for (const ExprPtr& p : s.predicates) {
-      if (p != nullptr && PredicateBlocksStreaming(*p)) return true;
-    }
-  }
-  for (const FlworClause& c : e.clauses) {
-    if (c.expr != nullptr && PredicateBlocksStreaming(*c.expr)) return true;
-  }
-  for (const OrderSpec& o : e.order_by) {
-    if (o.key != nullptr && PredicateBlocksStreaming(*o.key)) return true;
-  }
-  for (const DirectAttribute& a : e.attributes) {
-    for (const ExprPtr& p : a.value_parts) {
-      if (p != nullptr && PredicateBlocksStreaming(*p)) return true;
-    }
-  }
-  return false;
-}
-
 // --- Streaming pipeline ---------------------------------------------------
 //
 // A streamable step chain is evaluated as a pull pipeline: one StreamStage
@@ -460,13 +410,14 @@ bool Evaluator::PredicateBlocksStreaming(const Expr& e) const {
 // may be activated again on another context; it keeps its allocations.
 class Evaluator::AxisRun {
  public:
-  AxisRun(Evaluator* ev, const PathStep* step)
-      : ev_(ev), step_(step), reverse_(IsReverseStreamableAxis(step->axis)) {}
+  explicit AxisRun(Evaluator* ev) : ev_(ev) {}
 
-  // Starts the walk from `context`. A forward run moves to its first
-  // passer; a reverse run runs its whole walk now -- its stage is a barrier
-  // anyway, so there is nothing to gain from enumerating lazily.
-  Status Activate(xml::Node* context) {
+  // Starts a walk of `step` from `context`. A forward run moves to its
+  // first passer; a reverse run runs its whole walk now -- its stage is a
+  // barrier anyway, so there is nothing to gain from enumerating lazily.
+  Status Activate(const PathStep* step, xml::Node* context) {
+    step_ = step;
+    reverse_ = IsReverseStreamableAxis(step->axis);
     ClearWalk();
     switch (step_->axis) {
       case Axis::kChild:
@@ -631,8 +582,8 @@ class Evaluator::AxisRun {
   }
 
   Evaluator* ev_;
-  const PathStep* step_;
-  const bool reverse_;
+  const PathStep* step_ = nullptr;
+  bool reverse_ = false;
   bool spent_ = false;  // a literal [N] reached N: no further passers
   xml::Node* front_ = nullptr;
   // The walk.
@@ -700,13 +651,23 @@ class Evaluator::StreamBaseStage : public StreamStage {
 // normalizing sort -- runs arrive ordered and merging costs O(k log runs) --
 // and (b) per-run [N] exhaustion, where [1] ends each walk at its first
 // passer.
+//
+// Stages are reused across pipelines (Evaluator::stages_): Reset points one
+// at a new step and upstream and makes every run it owns spare again.
 class Evaluator::StreamAxisStage : public StreamStage {
  public:
-  StreamAxisStage(Evaluator* ev, const PathStep* step, StreamStage* upstream)
-      : ev_(ev),
-        step_(step),
-        upstream_(upstream),
-        barrier_(IsReverseStreamableAxis(step->axis)) {}
+  explicit StreamAxisStage(Evaluator* ev) : ev_(ev) {}
+
+  void Reset(const PathStep* step, StreamStage* upstream) {
+    step_ = step;
+    upstream_ = upstream;
+    barrier_ = IsReverseStreamableAxis(step->axis);
+    heap_.clear();
+    spare_.clear();
+    for (AxisRun& run : runs_) spare_.push_back(&run);
+    last_emitted_ = nullptr;
+    upstream_done_ = false;
+  }
 
   Result<xml::Node*> Front() override {
     LLL_RETURN_IF_ERROR(Settle());
@@ -753,12 +714,12 @@ class Evaluator::StreamAxisStage : public StreamStage {
         LLL_RETURN_IF_ERROR(upstream_->Pop());
         AxisRun* run;
         if (spare_.empty()) {
-          run = &runs_.emplace_back(ev_, step_);
+          run = &runs_.emplace_back(ev_);
         } else {
           run = spare_.back();
           spare_.pop_back();
         }
-        LLL_RETURN_IF_ERROR(run->Activate(context));
+        LLL_RETURN_IF_ERROR(run->Activate(step_, context));
         if (run->front() == nullptr) {
           spare_.push_back(run);
         } else {
@@ -789,9 +750,9 @@ class Evaluator::StreamAxisStage : public StreamStage {
   }
 
   Evaluator* ev_;
-  const PathStep* step_;
-  StreamStage* upstream_;
-  const bool barrier_;  // reverse axis: drain upstream before emitting
+  const PathStep* step_ = nullptr;
+  StreamStage* upstream_ = nullptr;
+  bool barrier_ = false;  // reverse axis: drain upstream before emitting
   // Every run this stage made (a deque: stable addresses). Exhausted runs
   // wait in spare_ for the next activation, so a forward stage holds
   // O(active runs), not one run per context.
@@ -801,6 +762,8 @@ class Evaluator::StreamAxisStage : public StreamStage {
   xml::Node* last_emitted_ = nullptr;
   bool upstream_done_ = false;
 };
+
+Evaluator::~Evaluator() = default;
 
 // --- Path dispatch --------------------------------------------------------
 
@@ -880,32 +843,6 @@ Result<Sequence> Evaluator::EvalPathImpl(const Expr& e, size_t limit) {
 
 namespace {
 
-// Appends `step`'s axis and node test to an intern fingerprint.
-void AppendStepFingerprint(const PathStep& step, std::string* fingerprint) {
-  *fingerprint += AxisName(step.axis);
-  *fingerprint += "::";
-  switch (step.test.kind) {
-    case NodeTestKind::kName:
-      *fingerprint += step.test.name;
-      break;
-    case NodeTestKind::kAnyName:
-      *fingerprint += "*";
-      break;
-    case NodeTestKind::kText:
-      *fingerprint += "text()";
-      break;
-    case NodeTestKind::kComment:
-      *fingerprint += "comment()";
-      break;
-    case NodeTestKind::kPi:
-      *fingerprint += "processing-instruction()";
-      break;
-    case NodeTestKind::kAnyNode:
-      *fingerprint += "node()";
-      break;
-  }
-}
-
 bool IsDocCall(const Expr& e) {
   return e.kind == ExprKind::kFunctionCall && e.children.size() == 1 &&
          (e.name == "doc" || e.name == "fn:doc");
@@ -916,15 +853,18 @@ bool IsDocCall(const Expr& e) {
 Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current,
                                        size_t limit) {
   NodeSetCache* cache = options_.nodeset_cache;
-  if (cache == nullptr || e.steps.empty()) return 0;
-  if (current->size() != 1 || !current->at(0).is_node()) return 0;
+  if (cache == nullptr) return 0;
+  // The chain and its fingerprint come from the bind pass; the step that
+  // ends the chain may hang off it as a probe.
+  const size_t prefix = e.intern_prefix;
+  const PathStep* probe_step =
+      prefix < e.steps.size() && e.steps[prefix].statically_probeable
+          ? &e.steps[prefix]
+          : nullptr;
   // Under a limit the path streams and may stop early; only a probe beats
   // that, so a chain without one is left alone.
-  if (limit != kNoLimit &&
-      std::none_of(e.steps.begin(), e.steps.end(),
-                   [](const PathStep& s) { return s.statically_probeable; })) {
-    return 0;
-  }
+  if (probe_step == nullptr && (prefix == 0 || limit != kNoLimit)) return 0;
+  if (current->size() != 1 || !current->at(0).is_node()) return 0;
   xml::Node* base = current->at(0).node();
   if (base->document() == nullptr) return 0;
   // Bases are document nodes, or the node a fn:doc name is bound to (docgen
@@ -941,45 +881,17 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current,
   // cannot make raw pointers into a freed arena safe to hand out.
   if (base->document() == ctx_->construction_arena()) return 0;
 
-  // The internable prefix: leading axis steps that are pure functions of
-  // the tree. Predicate-free steps qualify outright; steps whose predicates
-  // are all intern-foldable (no position()/last()/variables/effects, only
-  // downward reads -- see optimizer.h) qualify too, with the predicates'
-  // canonical text folded into the fingerprint so `model[@id="a"]` and
-  // `model[@id="b"]` intern separately.
-  size_t prefix = 0;
-  std::string fingerprint;
-  for (const PathStep& step : e.steps) {
-    if (step.is_filter) break;
-    if (!step.predicates.empty() && !StepPredicatesFoldable(step)) break;
-    AppendStepFingerprint(step, &fingerprint);
-    for (const ExprPtr& p : step.predicates) {
-      fingerprint += '[';
-      fingerprint += ExprToString(*p);
-      fingerprint += ']';
-    }
-    fingerprint += "/";
-    ++prefix;
-  }
-
-  // The step that ends the chain may hang off it as a probe: its axis and
-  // name test, without predicates, intern with the prefix, and its first
-  // predicate `@a = E` becomes a lookup in that set's postings.
-  if (prefix < e.steps.size() && e.steps[prefix].statically_probeable) {
-    const PathStep& step = e.steps[prefix];
-    PathStep bare;
-    bare.axis = step.axis;
-    bare.test = step.test;
-    std::string probe_fingerprint = fingerprint;
-    AppendStepFingerprint(step, &probe_fingerprint);
-    probe_fingerprint += "/";
+  // The probe step's axis and name test, without predicates, intern with
+  // the prefix, and its first predicate `@a = E` becomes a lookup in that
+  // set's postings.
+  if (probe_step != nullptr) {
     LLL_ASSIGN_OR_RETURN(
         std::shared_ptr<const CachedNodeSet> entry,
-        InternedSet(e, prefix, &bare, probe_fingerprint, base));
+        InternedSet(e, prefix, probe_step, e.intern_fingerprint, base));
     // Positions count per context node; the probe answers over the union
     // of every context's candidates, exact when there is one context.
     Result<std::optional<Sequence>> probed =
-        ProbeInterned(step, *entry, /*single_context=*/prefix == 0);
+        ProbeInterned(*probe_step, *entry, /*single_context=*/prefix == 0);
     if (!probed.ok()) {
       Status st = probed.status();
       return st.AddContext("in path expression" + LocationSuffix(e));
@@ -990,8 +902,12 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current,
     }
   }
   if (prefix == 0 || limit != kNoLimit) return 0;
-  LLL_ASSIGN_OR_RETURN(std::shared_ptr<const CachedNodeSet> entry,
-                       InternedSet(e, prefix, nullptr, fingerprint, base));
+  LLL_ASSIGN_OR_RETURN(
+      std::shared_ptr<const CachedNodeSet> entry,
+      InternedSet(e, prefix, nullptr,
+                  std::string_view(e.intern_fingerprint)
+                      .substr(0, e.intern_fingerprint_size),
+                  base));
   // A copy of a normalized sequence (the bit carries over), constructed
   // rather than assigned: the assignment's per-item copy does not inline.
   *current = Sequence(entry->nodes);
@@ -1000,8 +916,8 @@ Result<size_t> Evaluator::InternPrefix(const Expr& e, Sequence* current,
 }
 
 Result<std::shared_ptr<const CachedNodeSet>> Evaluator::InternedSet(
-    const Expr& e, size_t prefix, const PathStep* extra,
-    const std::string& fingerprint, xml::Node* base) {
+    const Expr& e, size_t prefix, const PathStep* probe_step,
+    std::string_view fingerprint, xml::Node* base) {
   NodeSetCache* cache = options_.nodeset_cache;
   xml::Document* doc = base->document();
   std::string key = NodeSetCache::MakeKey(base, fingerprint);
@@ -1024,6 +940,11 @@ Result<std::shared_ptr<const CachedNodeSet>> Evaluator::InternedSet(
     ++stats_.nodeset_cache_misses;
   }
 
+  PathStep bare;  // the probe step's candidates: no predicates
+  if (probe_step != nullptr) {
+    bare.axis = probe_step->axis;
+    bare.test = probe_step->test;
+  }
   // Read the guard versions BEFORE computing, so an entry can only ever be
   // stamped too old (a harmless re-miss), never too new.
   std::vector<CachedNodeSet::Guard> guards;
@@ -1031,7 +952,7 @@ Result<std::shared_ptr<const CachedNodeSet>> Evaluator::InternedSet(
   if (options_.subtree_guards) {
     std::vector<const PathStep*> chain;
     for (size_t i = 0; i < prefix; ++i) chain.push_back(&e.steps[i]);
-    if (extra != nullptr) chain.push_back(extra);
+    if (probe_step != nullptr) chain.push_back(&bare);
     ComputeInternGuards(chain, base, &guards, &subtree_scoped);
   } else {
     // Subtree scoping forced off: one kSubtree guard at the document node,
@@ -1043,10 +964,10 @@ Result<std::shared_ptr<const CachedNodeSet>> Evaluator::InternedSet(
   LLL_ASSIGN_OR_RETURN(Sequence computed,
                        EvalStepsRange(e, 0, prefix,
                                       Sequence(Item::NodeRef(base)), kNoLimit));
-  if (extra != nullptr && !computed.empty()) {
+  if (probe_step != nullptr && !computed.empty()) {
     // Child and descendant steps from one context come out in order.
     const bool one_context = computed.size() == 1;
-    LLL_ASSIGN_OR_RETURN(computed, EvalStep(*extra, computed));
+    LLL_ASSIGN_OR_RETURN(computed, EvalStep(bare, computed));
     SortDedup(&computed, one_context);
   }
   // The entry keeps an exact-size copy: `computed` grew by doubling, and
@@ -1126,9 +1047,7 @@ Result<std::optional<Sequence>> Evaluator::ProbeInterned(
     }
   }
   if (!one_context) {
-    auto is_user = [this](const std::string& name, size_t arity) {
-      return functions_.count({name, arity}) != 0;
-    };
+    const UserFunctionLookup is_user = ModuleFunctionLookup(module_);
     for (size_t i = 1; i < step.predicates.size(); ++i) {
       if (!NonPositionalPredicate(*step.predicates[i], is_user)) {
         return std::optional<Sequence>();
@@ -1141,20 +1060,8 @@ Result<std::optional<Sequence>> Evaluator::ProbeInterned(
   return std::optional<Sequence>(std::move(kept));
 }
 
-bool Evaluator::StepPredicatesFoldable(const PathStep& step) const {
-  auto is_user = [this](const std::string& name, size_t arity) {
-    return functions_.count({name, arity}) != 0;
-  };
-  for (const ExprPtr& p : step.predicates) {
-    if (p == nullptr || !InternFoldablePredicate(*p, is_user)) return false;
-  }
-  return true;
-}
-
 bool Evaluator::StepPredicatesAttributeOnly(const PathStep& step) const {
-  auto is_user = [this](const std::string& name, size_t arity) {
-    return functions_.count({name, arity}) != 0;
-  };
+  const UserFunctionLookup is_user = ModuleFunctionLookup(module_);
   for (const ExprPtr& p : step.predicates) {
     if (p == nullptr || !InternAttributeOnlyPredicate(*p, is_user)) {
       return false;
@@ -1222,7 +1129,7 @@ void Evaluator::ComputeInternGuards(const std::vector<const PathStep*>& steps,
       xml::Node* match = nullptr;
       bool unique = true;
       for (xml::Node* c : ctx->children()) {
-        if (c->is_element() && c->name() == step.test.name) {
+        if (c->is_element() && NameMatches(c, step.test)) {
           if (match != nullptr) {
             unique = false;
             break;
@@ -1288,13 +1195,8 @@ Result<Sequence> Evaluator::EvalStepsRange(const Expr& e, size_t first,
                                            size_t limit) {
   if (first >= last) return current;
   bool streamable = options_.streaming && !current.empty();
-  if (streamable) {
-    for (size_t i = first; i < last; ++i) {
-      if (!StepStreamable(e.steps[i])) {
-        streamable = false;
-        break;
-      }
-    }
+  for (size_t i = first; i < last && streamable; ++i) {
+    streamable = e.steps[i].statically_streamable;
   }
   if (streamable && SingleDocumentOf(current) != nullptr) {
     // The pipeline needs its context runs activated in document order.
@@ -1365,16 +1267,22 @@ Result<Sequence> Evaluator::EvalStepsStreamed(const Expr& e, size_t first,
                                               size_t last, Sequence current,
                                               size_t limit) {
   // Preconditions (enforced by EvalStepsRange): nonempty, all nodes of one
-  // document, steps [first, last) all pass StepStreamable. One index build
-  // up front covers the whole pull -- rebuild-on-mutation keeps relative
-  // keys stable (see HeapAfter).
+  // document, steps [first, last) all statically_streamable. One index
+  // build up front covers the whole pull -- rebuild-on-mutation keeps
+  // relative keys stable (see HeapAfter).
   current.at(0).node()->document()->EnsureOrderIndex();
   StreamBaseStage base(this, &current);
-  std::vector<std::unique_ptr<StreamStage>> stages;
+  // Stages come off the free stack and go back when the pull is over;
+  // pipelines nested in a predicate stack theirs above these.
+  const size_t stage_mark = stages_in_use_;
   StreamStage* top = &base;
   for (size_t i = first; i < last; ++i) {
-    stages.push_back(std::make_unique<StreamAxisStage>(this, &e.steps[i], top));
-    top = stages.back().get();
+    if (stages_in_use_ == stages_.size()) {
+      stages_.push_back(std::make_unique<StreamAxisStage>(this));
+    }
+    StreamAxisStage* stage = stages_[stages_in_use_++].get();
+    stage->Reset(&e.steps[i], top);
+    top = stage;
   }
   // Predicate evaluation inside runs sets the focus; restore around the
   // whole pull (PredicateKeep leaves it dirty by contract).
@@ -1396,8 +1304,9 @@ Result<Sequence> Evaluator::EvalStepsStreamed(const Expr& e, size_t first,
     }
   }
   focus_ = saved;
+  if (failure.ok() && out.size() >= limit) top->Abandon();
+  stages_in_use_ = stage_mark;
   LLL_RETURN_IF_ERROR(failure);
-  if (out.size() >= limit) top->Abandon();
   out.MarkOrderedDeduped();  // Append clears the bit; emission order proves it
   return out;
 }
@@ -1885,110 +1794,117 @@ Result<Sequence> Evaluator::EvalQuantified(const Expr& e) {
 
 // --- Function calls -----------------------------------------------------
 
-Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e) {
-  std::string name = e.name;
-  if (StartsWith(name, "fn:")) name = name.substr(3);
+Result<std::vector<Sequence>> Evaluator::EvalArgs(const Expr& e) {
+  std::vector<Sequence> args;
+  if (!free_args_.empty()) {
+    args = std::move(free_args_.back());
+    free_args_.pop_back();
+  }
+  args.reserve(e.children.size());
+  for (const ExprPtr& arg : e.children) {
+    Result<Sequence> value = Eval(*arg);
+    if (!value.ok()) {
+      ReleaseArgs(std::move(args));
+      return value.status();
+    }
+    args.push_back(std::move(*value));
+  }
+  return args;
+}
 
-  // User-defined functions shadow nothing (different namespaces in spirit).
-  auto udf = functions_.find({e.name, e.children.size()});
-  if (udf == functions_.end()) {
-    udf = functions_.find({name, e.children.size()});
-  }
-  if (udf != functions_.end()) {
-    const FunctionDecl& fn = *udf->second;
-    if (++call_depth_ > 512) {
-      --call_depth_;
-      return Status::Internal("recursion too deep in '" + fn.name + "'");
-    }
-    ++stats_.function_calls;
-    std::vector<Sequence> args;
-    args.reserve(e.children.size());
-    for (const ExprPtr& arg : e.children) {
-      Result<Sequence> value = Eval(*arg);
-      if (!value.ok()) {
-        --call_depth_;
-        return value.status();
-      }
-      args.push_back(std::move(*value));
-    }
-    size_t mark = EnvMark();
-    for (size_t i = 0; i < fn.params.size(); ++i) {
-      if (fn.has_param_type[i]) {
-        Sequence converted;
-        Status st = CheckSequenceType(args[i], fn.param_types[i],
-                                      fn.params.size() > i ? fn.params[i].c_str()
-                                                           : "parameter",
-                                      &converted);
-        if (!st.ok()) {
-          EnvRestore(mark);
-          --call_depth_;
-          return st.AddContext("in call to " + fn.name + "()");
-        }
-        EnvBind(fn.params[i], std::move(converted));
-      } else {
-        EnvBind(fn.params[i], std::move(args[i]));
-      }
-    }
-    // Function bodies do not inherit the caller's focus.
-    Focus saved = focus_;
-    focus_ = Focus{};
-    Result<Sequence> body = Eval(*fn.body);
-    focus_ = saved;
-    EnvRestore(mark);
-    --call_depth_;
-    if (!body.ok()) {
-      Status st = body.status();
-      return st.AddContext("in call to " + fn.name + "()");
-    }
-    if (fn.has_return_type) {
-      Sequence converted;
-      Status st =
-          CheckSequenceType(*body, fn.return_type, "return value", &converted);
-      if (!st.ok()) return st.AddContext("returning from " + fn.name + "()");
-      return converted;
-    }
-    return body;
-  }
+Result<Sequence> Evaluator::EvalFunctionCall(const Expr& e) {
+  // The bind pass resolved the target: user-defined functions first.
+  if (e.bound_udf != nullptr) return CallUserFunction(e, *e.bound_udf);
 
   // fn:exists / fn:empty over a path argument: emptiness is decided by the
-  // first node, so pull at most one instead of materializing the set. Placed
-  // after the UDF lookup so a user-declared exists/empty still wins.
-  if (options_.streaming && e.children.size() == 1 &&
-      (name == "exists" || name == "empty") &&
+  // first node, so pull at most one instead of materializing the set. A
+  // user-declared exists/empty was bound above and still wins.
+  static const BuiltinFn* const kExists =
+      &BuiltinFunctions().find(BuiltinKey("exists", 1))->second;
+  static const BuiltinFn* const kEmpty =
+      &BuiltinFunctions().find(BuiltinKey("empty", 1))->second;
+  const BuiltinFn* builtin = e.bound_builtin;
+  if (options_.streaming && (builtin == kExists || builtin == kEmpty) &&
       IsNodePathShape(*e.children[0])) {
     LLL_ASSIGN_OR_RETURN(Sequence probe, EvalPathLimited(*e.children[0], 1));
     bool is_empty = probe.empty();
-    return Sequence(Item::Boolean(name == "empty" ? is_empty : !is_empty));
+    return Sequence(Item::Boolean(builtin == kEmpty ? is_empty : !is_empty));
   }
 
-  const auto& builtins = BuiltinFunctions();
-  auto bi = builtins.find({name, e.children.size()});
-  if (bi == builtins.end()) {
-    bi = builtins.find({name, static_cast<size_t>(-1)});  // variadic
-  }
-  if (bi == builtins.end()) {
+  if (builtin == nullptr) {
     return Status::NotFound("unknown function " + e.name + "#" +
                             std::to_string(e.children.size()) + " at line " +
                             std::to_string(e.line));
   }
-  std::vector<Sequence> args;
-  args.reserve(e.children.size());
-  for (const ExprPtr& arg : e.children) {
-    LLL_ASSIGN_OR_RETURN(Sequence value, Eval(*arg));
-    args.push_back(std::move(value));
-  }
+  LLL_ASSIGN_OR_RETURN(std::vector<Sequence> args, EvalArgs(e));
   // Let the builtin (fn:trace, fn:error) see its own call site so trace
   // events and diagnostics carry a source position. Saved/restored because
   // builtins like trace re-enter Eval.
   const Expr* saved_site = builtin_call_site_;
   builtin_call_site_ = &e;
-  Result<Sequence> out = bi->second(*this, args);
+  Result<Sequence> out = (*builtin)(*this, args);
   builtin_call_site_ = saved_site;
+  ReleaseArgs(std::move(args));
   if (!out.ok()) {
+    std::string_view name = e.name;
+    if (name.substr(0, 3) == "fn:") name.remove_prefix(3);
     Status st = out.status();
-    return st.AddContext("in call to " + name + "()" + LocationSuffix(e));
+    return st.AddContext("in call to " + std::string(name) + "()" +
+                         LocationSuffix(e));
   }
   return out;
+}
+
+Result<Sequence> Evaluator::CallUserFunction(const Expr& e,
+                                             const FunctionDecl& fn) {
+  if (++call_depth_ > 512) {
+    --call_depth_;
+    return Status::Internal("recursion too deep in '" + fn.name + "'");
+  }
+  ++stats_.function_calls;
+  Result<std::vector<Sequence>> evaluated = EvalArgs(e);
+  if (!evaluated.ok()) {
+    --call_depth_;
+    return evaluated.status();
+  }
+  std::vector<Sequence>& args = *evaluated;
+  size_t mark = EnvMark();
+  for (size_t i = 0; i < fn.params.size(); ++i) {
+    if (fn.has_param_type[i]) {
+      Sequence converted;
+      Status st = CheckSequenceType(args[i], fn.param_types[i],
+                                    fn.params[i].c_str(), &converted);
+      if (!st.ok()) {
+        EnvRestore(mark);
+        ReleaseArgs(std::move(args));
+        --call_depth_;
+        return st.AddContext("in call to " + fn.name + "()");
+      }
+      EnvBind(fn.params[i], std::move(converted));
+    } else {
+      EnvBind(fn.params[i], std::move(args[i]));
+    }
+  }
+  ReleaseArgs(std::move(args));
+  // Function bodies do not inherit the caller's focus.
+  Focus saved = focus_;
+  focus_ = Focus{};
+  Result<Sequence> body = Eval(*fn.body);
+  focus_ = saved;
+  EnvRestore(mark);
+  --call_depth_;
+  if (!body.ok()) {
+    Status st = body.status();
+    return st.AddContext("in call to " + fn.name + "()");
+  }
+  if (fn.has_return_type) {
+    Sequence converted;
+    Status st =
+        CheckSequenceType(*body, fn.return_type, "return value", &converted);
+    if (!st.ok()) return st.AddContext("returning from " + fn.name + "()");
+    return converted;
+  }
+  return body;
 }
 
 // --- Constructors -------------------------------------------------------
@@ -2045,9 +1961,7 @@ Status Evaluator::FillElementContent(xml::Node* element,
           return Status::ConstructionError(
               "attribute node in document constructor content");
         }
-        xml::Node* attr = ctx_->arena_->CreateAttribute(item.node()->name(),
-                                                        item.node()->value());
-        ++stats_.constructed_nodes;
+        xml::Node* attr = CopyIntoArena(item.node());
         if (options_.galax_duplicate_attributes) {
           // Reproduce the Galax bug: duplicates are simply kept.
           attr->Detach();

@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/result.h"
@@ -136,10 +137,6 @@ struct EvalStats {
   size_t index_probes = 0;
 };
 
-// A builtin function: receives evaluated arguments.
-using BuiltinFn = std::function<Result<xdm::Sequence>(
-    Evaluator&, std::vector<xdm::Sequence>&)>;
-
 // The dynamic context of an evaluation: variable bindings, the focus
 // (context item / position / size), available documents, the construction
 // arena, and the trace sink.
@@ -187,8 +184,10 @@ class DynamicContext {
 // evaluation.
 class Evaluator {
  public:
+  // `module` must be bound (bind.h); CompiledQuery's are.
   Evaluator(const Module& module, DynamicContext* context,
             const EvalOptions& options);
+  ~Evaluator();
 
   // Evaluates global variable declarations then the module body.
   Result<xdm::Sequence> Run();
@@ -280,14 +279,6 @@ class Evaluator {
   // save/restore around the batch.
   Result<bool> PredicateKeep(const Expr& pred, const xdm::Item& item,
                              size_t position, size_t size);
-  // True if `step` may run inside the pull pipeline: a streamable axis, not
-  // a filter step, and predicates free of focus-size observers (fn:last),
-  // effectful calls (fn:trace / fn:error), and user-defined or unknown
-  // functions (which may trace internally) -- the trace-parity rule.
-  bool StepStreamable(const PathStep& step) const;
-  // The recursive scan behind StepStreamable, resolving calls against this
-  // evaluator's user-function table.
-  bool PredicateBlocksStreaming(const Expr& e) const;
   // Routes every nodes_skipped_early_exit charge; suppressed while a nested
   // early-exit probe runs inside a streamed step's predicate, where the
   // outer pipeline's own abandonment accounting covers the same candidates.
@@ -295,20 +286,20 @@ class Evaluator {
     if (!suppress_skip_charges_) stats_.nodes_skipped_early_exit += n;
   }
   // Consults / fills the node-set interning cache for the leading internable
-  // step chain (predicate-free steps, plus steps whose predicates fold into
-  // the fingerprint) of a path off a document node or a fn:doc-bound node,
-  // and probes the step that ends the chain when it is probeable. On success
-  // returns the number of steps consumed and replaces *current with their
-  // result (a linked copy of the entry, or the probe's hits); returns 0 when
-  // interning does not apply. Under a `limit` only a probe applies.
+  // step chain the bind pass found (Expr::intern_prefix) of a path off a
+  // document node or a fn:doc-bound node, and probes the step that ends the
+  // chain when it is probeable. On success returns the number of steps
+  // consumed and replaces *current with their result (a linked copy of the
+  // entry, or the probe's hits); returns 0 when interning does not apply.
+  // Under a `limit` only a probe applies.
   Result<size_t> InternPrefix(const Expr& e, xdm::Sequence* current,
                               size_t limit);
-  // The interned set of steps [0, prefix) of `e` -- followed by `extra`, a
-  // predicate-free step, when non-null -- hanging off `base`: a cache hit,
-  // or computed, guarded, and stored.
+  // The interned set of steps [0, prefix) of `e` -- followed by the axis and
+  // node test of `probe_step`, without its predicates, when non-null --
+  // hanging off `base`: a cache hit, or computed, guarded, and stored.
   Result<std::shared_ptr<const CachedNodeSet>> InternedSet(
-      const Expr& e, size_t prefix, const PathStep* extra,
-      const std::string& fingerprint, xml::Node* base);
+      const Expr& e, size_t prefix, const PathStep* probe_step,
+      std::string_view fingerprint, xml::Node* base);
   // Answers `step`'s first predicate `@a = E` (optimizer.h's ProbeOperands)
   // over `entry`, the step's interned candidates, by a postings probe, then
   // applies the remaining predicates to the hits. `single_context` says the
@@ -317,11 +308,9 @@ class Evaluator {
   // all string-typed, or positional predicates over several contexts.
   Result<std::optional<xdm::Sequence>> ProbeInterned(
       const PathStep& step, const CachedNodeSet& entry, bool single_context);
-  // True if every predicate of `step` is intern-foldable (optimizer.h's
-  // InternFoldablePredicate, resolved against this evaluator's user-function
-  // table); the AttributeOnly variant additionally requires the attribute-
-  // only class the guard descent may resolve through.
-  bool StepPredicatesFoldable(const PathStep& step) const;
+  // True if every predicate of `step` is in the attribute-only foldable
+  // class (optimizer.h's InternAttributeOnlyPredicate) the guard descent may
+  // resolve through.
   bool StepPredicatesAttributeOnly(const PathStep& step) const;
   // Builds the subtree version guard set for an intern entry: descends from
   // `base` through the chain's steps that resolve to singleton elements,
@@ -350,6 +339,15 @@ class Evaluator {
                           xdm::Sequence* out);
   Result<xdm::Sequence> EvalQuantified(const Expr& e);
   Result<xdm::Sequence> EvalFunctionCall(const Expr& e);
+  Result<xdm::Sequence> CallUserFunction(const Expr& e,
+                                         const FunctionDecl& fn);
+  // Evaluates the call's arguments into a vector from the free list; the
+  // caller hands it back with ReleaseArgs on every path.
+  Result<std::vector<xdm::Sequence>> EvalArgs(const Expr& e);
+  void ReleaseArgs(std::vector<xdm::Sequence> args) {
+    args.clear();
+    free_args_.push_back(std::move(args));
+  }
   Result<xdm::Sequence> EvalDirectElement(const Expr& e);
   Result<xdm::Sequence> EvalComputedConstructor(const Expr& e);
   Result<xdm::Sequence> EvalCast(const Expr& e);
@@ -384,19 +382,42 @@ class Evaluator {
   EvalOptions options_;
   EvalStats stats_;
   Focus focus_;
-  std::map<std::pair<std::string, size_t>, const FunctionDecl*> functions_;
   int call_depth_ = 0;
   obs::Profiler* profiler_ = nullptr;
   const Expr* builtin_call_site_ = nullptr;
   // See ChargeSkipped: true while evaluating a streamed step's predicate, so
   // probe pipelines spawned inside it do not double-charge the skip floor.
   bool suppress_skip_charges_ = false;
-
-  friend struct BuiltinRegistry;
+  // Free lists, reused across the evaluation. Axis stages are a stack:
+  // stages_[0, stages_in_use_) belong to the pipelines being pulled, the
+  // rest (with their runs' allocations) wait for the next one, so a
+  // pipeline nested inside another's predicate takes stages of its own.
+  // Argument vectors are taken and returned LIFO in the same way.
+  std::vector<std::unique_ptr<StreamAxisStage>> stages_;
+  size_t stages_in_use_ = 0;
+  std::vector<std::vector<xdm::Sequence>> free_args_;
 };
 
+// Builtin registry keys are (name, arity); an arity of size_t(-1) marks a
+// variadic builtin. The order is transparent, so lookups can key on a
+// std::string_view name (BuiltinKey) without building a std::string.
+struct BuiltinKeyLess {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    const int c = std::string_view(a.first).compare(std::string_view(b.first));
+    return c < 0 || (c == 0 && a.second < b.second);
+  }
+};
+using BuiltinTable =
+    std::map<std::pair<std::string, size_t>, BuiltinFn, BuiltinKeyLess>;
+inline std::pair<std::string_view, size_t> BuiltinKey(std::string_view name,
+                                                      size_t arity) {
+  return {name, arity};
+}
+
 // Registers the fn:/math: builtin library; see functions.cc for the catalog.
-const std::map<std::pair<std::string, size_t>, BuiltinFn>& BuiltinFunctions();
+const BuiltinTable& BuiltinFunctions();
 // The fn:subsequence selection window, shared by the builtin and the
 // optimizer's limit push-down so pushed and unpushed plans agree: positions
 // p (1-based) with *lo <= p < *hi are selected, computed with XPath fn:round
@@ -405,9 +426,9 @@ const std::map<std::pair<std::string, size_t>, BuiltinFn>& BuiltinFunctions();
 // window is statically empty (NaN start or length).
 bool SubsequenceWindow(double start, double length, bool has_length,
                        double* lo, double* hi);
-// True if a builtin with this name exists at any arity (used by the
-// optimizer's purity analysis).
-bool IsBuiltinName(const std::string& name);
+// True if a builtin with this name (an fn: prefix is stripped) exists at any
+// arity (used by the optimizer's purity analysis and the bind pass).
+bool IsBuiltinName(std::string_view name);
 
 }  // namespace lll::xq
 

@@ -121,8 +121,8 @@ Result<Sequence> FocusArg(Evaluator& ev) {
   return Sequence(ev.focus_item());
 }
 
-std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
-  std::map<std::pair<std::string, size_t>, BuiltinFn> reg;
+BuiltinTable BuildRegistry() {
+  BuiltinTable reg;
   auto def = [&reg](const std::string& name, size_t arity, BuiltinFn fn) {
     reg[{name, arity}] = std::move(fn);
   };
@@ -695,9 +695,8 @@ std::map<std::pair<std::string, size_t>, BuiltinFn> BuildRegistry() {
 
 }  // namespace
 
-const std::map<std::pair<std::string, size_t>, BuiltinFn>& BuiltinFunctions() {
-  static const auto& registry = *new std::map<std::pair<std::string, size_t>,
-                                              BuiltinFn>(BuildRegistry());
+const BuiltinTable& BuiltinFunctions() {
+  static const auto& registry = *new BuiltinTable(BuildRegistry());
   return registry;
 }
 
@@ -720,15 +719,12 @@ bool SubsequenceWindow(double start, double length, bool has_length,
   return !std::isnan(*hi);
 }
 
-bool IsBuiltinName(const std::string& raw) {
-  std::string name = raw;
-  if (StartsWith(name, "fn:")) name = name.substr(3);
-  const auto& reg = BuiltinFunctions();
-  for (const auto& [key, fn] : reg) {
-    (void)fn;
-    if (key.first == name) return true;
-  }
-  return false;
+bool IsBuiltinName(std::string_view name) {
+  if (name.substr(0, 3) == "fn:") name.remove_prefix(3);
+  // Keys order by name first, so arity 0 is the least key of this name.
+  const BuiltinTable& reg = BuiltinFunctions();
+  auto it = reg.lower_bound(BuiltinKey(name, 0));
+  return it != reg.end() && it->first.first == name;
 }
 
 }  // namespace lll::xq

@@ -1,8 +1,6 @@
 #include "xquery/nodeset_cache.h"
 
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
 
 #include "xml/name_table.h"
 
@@ -90,11 +88,18 @@ std::shared_ptr<const CachedNodeSet::AttributePostings> CachedNodeSet::Postings(
 }
 
 std::string NodeSetCache::MakeKey(const xml::Node* base,
-                                  const std::string& fingerprint) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64 "@%" PRIu32 "|",
-                base->document()->doc_id(), base->index());
-  return std::string(buf) + fingerprint;
+                                  std::string_view fingerprint) {
+  // "<doc_id>@<base_index>|": at most 20 + 1 + 10 + 1 bytes.
+  char buf[32];
+  char* p = std::to_chars(buf, buf + 20, base->document()->doc_id()).ptr;
+  *p++ = '@';
+  p = std::to_chars(p, p + 10, base->index()).ptr;
+  *p++ = '|';
+  std::string key;
+  key.reserve(static_cast<size_t>(p - buf) + fingerprint.size());
+  key.append(buf, p);
+  key.append(fingerprint);
+  return key;
 }
 
 CachedNodeSet::Guard NodeSetCache::GuardFor(const xml::Node* n,

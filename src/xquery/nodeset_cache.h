@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -155,7 +156,7 @@ class NodeSetCache {
   // one arena intern separately, and entries from dead documents can never
   // collide with live ones) plus the caller-built chain fingerprint.
   static std::string MakeKey(const xml::Node* base,
-                             const std::string& fingerprint);
+                             std::string_view fingerprint);
 
   // A guard of the given kind over `n`, stamped with the CURRENT overlay
   // version -- the building block callers assemble dependency chains from.

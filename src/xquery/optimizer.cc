@@ -639,28 +639,6 @@ struct OrderAnalyzer {
     return OrderProp::kNone;
   }
 
-  // Static twin of Evaluator::PredicateBlocksStreaming, resolved against the
-  // module's function declarations instead of the runtime registry.
-  bool BlocksStreaming(const Expr& e) const {
-    if (e.kind == ExprKind::kFunctionCall) {
-      std::string stripped = e.name;
-      if (StartsWith(stripped, "fn:")) stripped = stripped.substr(3);
-      if (stripped == "last" || stripped == "trace" || stripped == "error") {
-        return true;
-      }
-      for (const FunctionDecl& fn : module.functions) {
-        if ((fn.name == e.name || fn.name == stripped) &&
-            fn.params.size() == e.children.size()) {
-          return true;  // user-defined: may trace/error internally
-        }
-      }
-      if (!IsBuiltinName(stripped)) return true;
-    }
-    bool blocked = false;
-    ForEachChild(e, [&](const Expr& c) { blocked = blocked || BlocksStreaming(c); });
-    return blocked;
-  }
-
   OrderProp AnalyzePath(Expr* e) {
     OrderProp prop;
     if (e->has_base) {
@@ -676,12 +654,7 @@ struct OrderAnalyzer {
         (!e->has_base && e->rooted) ||
         (e->has_base && e->children[0]->kind == ExprKind::kFunctionCall &&
          (e->children[0]->name == "doc" || e->children[0]->name == "fn:doc"));
-    auto is_user = [this](const std::string& name, size_t arity) {
-      for (const FunctionDecl& fn : module.functions) {
-        if (fn.name == name && fn.params.size() == arity) return true;
-      }
-      return false;
-    };
+    const UserFunctionLookup is_user = ModuleFunctionLookup(module);
     for (size_t i = 0; i < e->steps.size(); ++i) {
       PathStep& step = e->steps[i];
       for (ExprPtr& p : step.predicates) Analyze(p.get());
@@ -695,21 +668,8 @@ struct OrderAnalyzer {
         internable = false;
         continue;  // a subset preserves every property
       }
-      // Advisory streaming/interning annotations (rendered by EXPLAIN); the
-      // evaluator re-derives both per call from dynamic conditions. Mirrors
-      // Evaluator::PredicateBlocksStreaming: fn:last needs materialized
-      // cardinality, and trace/error/user-defined calls must see the exact
-      // materializing evaluation order (trace-parity rule, DESIGN.md section
-      // 10), so any of them in a predicate disqualifies the step.
-      step.statically_streamable = IsStreamableAxis(step.axis);
-      if (step.statically_streamable) {
-        for (const ExprPtr& p : step.predicates) {
-          if (BlocksStreaming(*p)) {
-            step.statically_streamable = false;
-            break;
-          }
-        }
-      }
+      // Advisory interning annotation (rendered by EXPLAIN); the bind pass
+      // computes the chain the evaluator uses (Expr::intern_prefix).
       // Predicate-free steps intern outright; steps whose predicates are
       // all intern-foldable (pure functions of the tree, folded into the
       // fingerprint) keep the chain going too.
@@ -796,6 +756,15 @@ OptimizerStats Optimize(Module* module, const OptimizerOptions& options) {
 }
 
 // --- Node-set intern predicate folding --------------------------------------
+
+UserFunctionLookup ModuleFunctionLookup(const Module& module) {
+  return [&module](const std::string& name, size_t arity) {
+    for (const FunctionDecl& fn : module.functions) {
+      if (fn.name == name && fn.params.size() == arity) return true;
+    }
+    return false;
+  };
+}
 
 namespace {
 

@@ -97,12 +97,14 @@ OrderProp AnalyzeOrder(Expr* e, const Module& module, size_t* annotated);
 
 // --- Node-set intern predicate folding --------------------------------------
 //
-// Resolver for "is (name, arity) a user-defined function in scope?". The
-// optimizer answers it from Module::functions, the evaluator from its
-// runtime registry; sharing the analysis through this hook keeps the static
-// [interned] annotation and the dynamic interning decision from drifting.
+// Resolver for "is (name, arity) a user-defined function in scope?", the
+// hook the predicate analyses below resolve calls through.
 using UserFunctionLookup =
     std::function<bool(const std::string& name, size_t arity)>;
+
+// The lookup over `module`'s declarations, shared by the optimizer, the bind
+// pass and the evaluator so their verdicts cannot drift. Borrows `module`.
+UserFunctionLookup ModuleFunctionLookup(const Module& module);
 
 // True if `pred` may be folded into a node-set intern fingerprint: its value
 // for a given candidate node is a pure function of the tree alone. That

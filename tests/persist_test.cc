@@ -317,6 +317,93 @@ TEST(PersistPlans, MetricsCountStoresLoadsMismatchesAndFailures) {
   EXPECT_EQ(metrics.counter("persist.plan.load_failures").value(), 1u);
 }
 
+// The name tests of `e`'s tree that test `name`, with their bound ids.
+void CollectNameIds(const xq::Expr& e, const std::string& name,
+                    std::vector<uint32_t>* ids) {
+  for (const xq::ExprPtr& c : e.children) CollectNameIds(*c, name, ids);
+  for (const xq::PathStep& s : e.steps) {
+    if (s.test.kind == xq::NodeTestKind::kName && s.test.name == name) {
+      ids->push_back(s.test.name_id);
+    }
+    for (const xq::ExprPtr& p : s.predicates) CollectNameIds(*p, name, ids);
+  }
+  for (const xq::FlworClause& c : e.clauses) CollectNameIds(*c.expr, name, ids);
+}
+
+std::vector<uint32_t> NameIdsInPlan(const xq::CompiledQuery& q,
+                                    const std::string& name) {
+  std::vector<uint32_t> ids;
+  for (const xq::FunctionDecl& fn : q.module().functions) {
+    CollectNameIds(*fn.body, name, &ids);
+  }
+  CollectNameIds(*q.module().body, name, &ids);
+  return ids;
+}
+
+TEST(PersistPlans, LoadedPlansMatchNamesInterningAfterTheLoad) {
+  // Plans are bound when loaded, by NameTable lookup only. A document parsed
+  // AFTER the load may bring element names the table had never seen: their
+  // name tests stay unbound and must match by string. The element names
+  // below occur nowhere else in this test binary, so no earlier test can
+  // have interned them.
+  struct Case {
+    const char* query;
+    const char* expected;
+  };
+  const Case cases[] = {
+      // A user-defined function.
+      {"declare function local:pick($n) { $n/persist-late-a[@k = \"2\"] };"
+       " count(local:pick(/persist-late-root)/persist-late-b)",
+       "1"},
+      // An fn:-prefixed builtin.
+      {"fn:count(//persist-late-a)", "2"},
+      // A variadic builtin.
+      {"concat(\"a=\", count(//persist-late-a), \";b=\","
+       " count(//persist-late-b))",
+       "a=2;b=1"},
+      // An unknown function in a branch that is never taken.
+      {"if (false()) then persist-late-nope(1) else"
+       " count(//persist-late-a[persist-late-b])",
+       "1"},
+  };
+  xq::QueryCache source(16);
+  for (const Case& c : cases) ASSERT_TRUE(source.GetOrCompile(c.query).ok());
+  xq::QueryCache loaded(16);
+  auto count = persist::LoadPlanCacheFromBytes(
+      persist::SerializePlanCache(source), &loaded);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  ASSERT_EQ(*count, std::size(cases));
+
+  std::vector<std::shared_ptr<const xq::CompiledQuery>> plans;
+  for (const Case& c : cases) {
+    auto plan = loaded.GetOrCompile(c.query);
+    ASSERT_TRUE(plan.ok()) << c.query;
+    ASSERT_EQ((*plan)->origin(), xq::PlanOrigin::kDiskCache) << c.query;
+    std::vector<uint32_t> ids = NameIdsInPlan(**plan, "persist-late-a");
+    ASSERT_FALSE(ids.empty()) << c.query;
+    for (uint32_t id : ids) EXPECT_EQ(id, xq::NodeTest::kUnbound) << c.query;
+    plans.push_back(*plan);
+  }
+
+  auto doc = xml::Parse(
+      "<persist-late-root><persist-late-a k=\"1\"/>"
+      "<persist-late-a k=\"2\"><persist-late-b/></persist-late-a>"
+      "</persist-late-root>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    auto fresh = xq::Compile(c.query);
+    ASSERT_TRUE(fresh.ok()) << c.query;
+    // A plan bound after the parse compares ids.
+    for (uint32_t id : NameIdsInPlan(*fresh, "persist-late-a")) {
+      EXPECT_NE(id, xq::NodeTest::kUnbound) << c.query;
+    }
+    const std::string want = EvalCompiled(*fresh, (*doc)->root());
+    EXPECT_EQ(want, c.expected) << c.query;
+    EXPECT_EQ(EvalCompiled(*plans[i], (*doc)->root()), want) << c.query;
+  }
+}
+
 // --- Document snapshots -----------------------------------------------------
 
 constexpr char kSnapshotXml[] =

@@ -199,6 +199,22 @@ TEST(XQueryBasic, UnknownFunctionAndVariable) {
   EXPECT_NE(EvalError("$nope").find("not found"), std::string::npos);
 }
 
+TEST(XQueryBasic, UnknownCallFailsOnlyWhenEvaluated) {
+  // Calls are resolved once per plan, but an unresolved call is an error
+  // only when it runs, and its text names the call as written.
+  auto result = xq::Run("1 +\n no-such-fn(2, 3)");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(result.status().message(),
+            "unknown function no-such-fn#2 at line 2");
+  EXPECT_NE(EvalError("fn:count()").find("unknown function fn:count#0"),
+            std::string::npos);
+  EXPECT_EQ(Eval("if (false()) then nope() else 1"), "1");
+  EXPECT_EQ(Eval("declare function local:f($x) {"
+                 " if ($x) then nope($x) else 2 }; local:f(false())"),
+            "2");
+}
+
 TEST(XQueryBasic, CastAs) {
   EXPECT_EQ(Eval("\"42\" cast as xs:integer"), "42");
   EXPECT_EQ(Eval("3.9 cast as xs:integer"), "3");

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -420,6 +421,103 @@ TEST(Streaming, LimitHintStopsPullingEarly) {
     ASSERT_TRUE(reference.ok()) << q;
     EXPECT_EQ(streamed->SerializedItems(), reference->SerializedItems()) << q;
   }
+}
+
+// --- Stage reuse -------------------------------------------------------------
+//
+// An evaluation keeps its axis stages on a free stack: a pipeline takes its
+// stages on top of those in use and gives them back when its pull ends, so
+// a pipeline nested inside another's predicate works on stages of its own.
+
+TEST(Streaming, NestedPipelinesTakeStagesOfTheirOwn) {
+  // Each outer candidate's predicate runs an inner pipeline (itself with a
+  // nested predicate) while the outer stages are mid-pull; the loop pulls
+  // the same shapes again from reused stages.
+  const char* queries[] = {
+      "//a[b[c][d]]/b/c",
+      "//b[c[. = \"two\"] or d[@p]]/ancestor::a[1]/@k",
+      "//a[.//b[c]/following-sibling::b]//c[ancestor::b[1][d]]",
+      "for $i in 1 to 3 return count(//a[b[c]]//c[ancestor::b[d]])",
+      "//c[exists(ancestor::a[b[d[@p]]])]/text()",
+      "(//d[a[b[c]]]/c, //a[b/c][1]/b[2])",
+  };
+  const char* expected[] = {
+      "<c>one</c><c>two</c><c>four</c>",
+      "k=\"1\"",
+      "<c>one</c>",
+      "2 2 2",
+      "threefour",
+      "<c>six</c><b w=\"x\"><c>two</c></b>",
+  };
+  for (size_t i = 0; i < std::size(queries); ++i) {
+    EXPECT_EQ(EvalBothModes(queries[i], kDoc), expected[i]) << queries[i];
+  }
+}
+
+TEST(Streaming, PipelineAfterAnErrorMidPullStillStreams) {
+  const std::string xml =
+      "<r><n>1</n><n>2</n><n>x</n><n>4</n><m><n>5</n></m>"
+      "<g><n>y</n></g><g><n>6</n><n>7</n></g><g><n>8</n></g></r>";
+  // The cast fails on the third candidate, mid-pull: the failing pipeline
+  // must hand back exactly its own stages, so the later ones in the same
+  // evaluation run on a consistent free stack -- the second item, the
+  // outer //r pipeline around a nested failure caught inside its
+  // predicate, and the outer /r/g pipeline whose second candidate starts a
+  // two-stage nested pipeline after the first candidate's one failed (on
+  // stages of its own, not on the g stage whose run is mid-walk).
+  const std::string query =
+      "(try { count(//n[(. cast as xs:integer) > 0]) } catch { -1 },"
+      " count(//n[. = \"4\"]/preceding-sibling::n),"
+      " //r[try { exists(n[(. cast as xs:integer) > 3]) } catch { true() }]"
+      "/m/n/text(),"
+      " /r/g[try { exists(n/text()[(. cast as xs:integer) > 3]) }"
+      " catch { false() }]/n/text())";
+  // Atomics are space-separated; text nodes follow with no separator.
+  EXPECT_EQ(EvalBothModes(query, xml), "-1 35678");
+
+  auto doc = xml::Parse(xml, {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  auto compiled = xq::Compile(query);
+  ASSERT_TRUE(compiled.ok());
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+  auto r = xq::Execute(*compiled, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // The later pipelines streamed: nothing fell back to a sort.
+  EXPECT_GT(r->stats.nodes_pulled, 0u);
+  EXPECT_EQ(r->stats.sorts_performed, 0u);
+}
+
+TEST(Streaming, SharedPlanStreamsOnFourThreads) {
+  // One bound plan, shared read-only; every thread's evaluator keeps its own
+  // stage stack. Run under ThreadSanitizer via the concurrency label.
+  auto doc = xml::Parse(kDoc, {.strip_insignificant_whitespace = true});
+  ASSERT_TRUE(doc.ok());
+  auto compiled = xq::Compile(
+      "(count(//a[b[c]]//c[ancestor::b[d]]), //c[exists(ancestor::a[@k])]"
+      "/text(), exists(//b[c = \"four\"]/preceding-sibling::c))");
+  ASSERT_TRUE(compiled.ok());
+  xq::ExecuteOptions opts;
+  opts.context_node = (*doc)->root();
+  auto reference = xq::Execute(*compiled, opts);
+  ASSERT_TRUE(reference.ok());
+  const std::string want = reference->SerializedItems();
+  EXPECT_EQ(want, "2onetwotrue");
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        auto r = xq::Execute(*compiled, opts);
+        if (!r.ok() || r->SerializedItems() != want) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 }
 
 TEST(Streaming, DeepTreeDoesNotOverflowTheStack) {
